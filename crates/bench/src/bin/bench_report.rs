@@ -1,26 +1,23 @@
 //! `bench-report` — tracked per-stage pipeline timings.
 //!
 //! Times the figures-corpus pipeline stage by stage (analysis,
-//! assignment, scheduling) and end to end, comparing the *vendored seed
-//! implementation* ([`clasp_bench::seed`]: map-backed assignment state
-//! cloned per tentative, HashMap-grid reservation table, per-II and
-//! per-call recompute of every analysis, O(n) ready scan, looser II cap)
-//! against the amortized `LoopAnalysis`/`SchedContext` path, then writes
-//! the numbers to `BENCH_sched.json` at the repo root so the perf
-//! trajectory is tracked in-tree.
+//! assignment, scheduling, end to end, and the full pipeline through
+//! kernel emission) and writes the medians to `BENCH_sched.json` at the
+//! repo root, so the perf trajectory is tracked in-tree. Each stage line
+//! is compared against the committed file's median; CI greps those
+//! lines and fails past its regression gates. That the timed pipeline
+//! still computes the paper's IIs and kernels is pinned separately, by
+//! the golden digest manifest (`tests/golden.rs`).
 //!
-//! Both sides must agree exactly — the report asserts equal IIs across
-//! the corpus for the unified sweep, the assignment phase, and the full
-//! pipeline before it prints a single number.
-//!
-//! On top of the amortized stages, the report times the deterministic
-//! parallel executor (`clasp-exec`) over the corpus and the fuzz stream
-//! — asserting the parallel results bit-identical to serial first — the
-//! content-addressed compile cache (cold corpus compile vs a warmed
-//! replay, both through the `CompileService` facade), and the
-//! `clasp-serve` wire path (cold corpus over TCP against a fresh daemon
-//! vs warm-hit round-trips against a pre-warmed one), recording the
-//! worker count and cache hit/miss counters in `BENCH_sched.json`.
+//! On top of the pipeline stages, the report times paired stages: the
+//! deterministic parallel executor (`clasp-exec`) over the corpus and
+//! the fuzz stream against their serial runs — asserting the parallel
+//! results bit-identical to serial first — the content-addressed compile
+//! cache (cold corpus compile vs a warmed replay, both through the
+//! `CompileService` facade), and the `clasp-serve` wire path (cold
+//! corpus over TCP against a fresh daemon vs warm-hit round-trips
+//! against a pre-warmed one), recording the worker count and cache
+//! hit/miss counters in `BENCH_sched.json`.
 //!
 //! A final `load` stage runs the `clasp-load` traffic harness over the
 //! full (transport × clients × mix) matrix and writes the latency
@@ -36,13 +33,13 @@ use clasp::{
     compare_with_unified, compile_full, compile_full_observed, compile_loop, CompileRequest,
     CompileService, PipelineConfig, ServiceRequest,
 };
-use clasp_bench::{bench, fmt_ns, json_escape, seed, Timing};
+use clasp_bench::{bench, fmt_ns, json_escape, Timing};
 use clasp_core::{assign_from, assign_with_analysis, Assignment};
 use clasp_ddg::{Ddg, LoopAnalysis};
 use clasp_kernel::{emit_program_with, RegisterModel};
 use clasp_loopgen::{generate_corpus, CorpusConfig};
 use clasp_machine::{presets, MachineSpec};
-use clasp_sched::{max_ii_bound, unified_map, SchedContext, SchedulerConfig};
+use clasp_sched::{max_ii_bound, SchedContext};
 use std::path::PathBuf;
 
 /// Figures-corpus slice: the paper's corpus shape (301/1327 recurrence
@@ -58,101 +55,42 @@ fn corpus() -> Vec<Ddg> {
     })
 }
 
-/// The seed's unified baseline: fresh scheduler (swing order, slot
-/// requests, HashMap-grid reservation table) rebuilt at every II, swept
-/// to the seed's `MII + total latency + node count` cap.
-fn unified_ii_seed(g: &Ddg, machine: &MachineSpec, cfg: SchedulerConfig) -> Option<u32> {
-    let unified = machine.unified_equivalent();
-    seed::schedule_unified(g, &unified, cfg).map(|s| s.ii())
-}
-
-/// One shared context for the whole II sweep (the amortized path).
-fn unified_ii_shared(g: &Ddg, machine: &MachineSpec, cfg: SchedulerConfig) -> Option<u32> {
-    let unified = machine.unified_equivalent();
-    let map = unified_map(g, &unified);
-    let mii = unified.mii(g);
-    if mii == u32::MAX {
-        return None;
-    }
-    let cap = max_ii_bound(g, mii);
-    let mut ctx = SchedContext::new(g, &unified, &map).ok()?;
-    ctx.schedule_in_range(mii.max(1), cap, cfg)
-        .ok()
-        .map(|s| s.ii())
-}
-
-/// The seed pipeline shape: the seed assigner per escalation (re-deriving
-/// SCCs and the swing order each call, cloning map-backed state per
-/// tentative), the seed scheduler for the clustered phase, and the seed
-/// per-II unified baseline.
-fn end_to_end_seed(g: &Ddg, machine: &MachineSpec, config: PipelineConfig) -> Option<(u32, u32)> {
-    let unified = unified_ii_seed(g, machine, config.sched)?;
-    let (schedule, _) = clustered_seed(g, machine, config)?;
-    Some((schedule.ii(), unified))
-}
-
-/// The seed's clustered compile alone (Figure-5 escalation over the seed
-/// assigner and seed scheduler, from-scratch at every II), returning the
-/// final schedule and its assignment.
-fn clustered_seed(
-    g: &Ddg,
-    machine: &MachineSpec,
-    config: PipelineConfig,
-) -> Option<(clasp_sched::Schedule, Assignment)> {
-    let unified_mii = machine.unified_equivalent().mii(g).max(1);
-    let cap = config
-        .assign
-        .max_ii
-        .unwrap_or_else(|| seed::max_ii_bound(g, unified_mii));
-    let mut min_ii = unified_mii;
-    while min_ii <= cap {
-        let assignment = seed::assign_from(g, machine, config.assign, min_ii).ok()?;
-        if let Some(schedule) = seed::iterative_schedule(
-            &assignment.graph,
-            machine,
-            &assignment.map,
-            assignment.ii,
-            config.sched,
-        ) {
-            return Some((schedule, assignment));
-        }
-        min_ii = assignment.ii + 1;
-    }
-    None
-}
-
-/// The seed's *full* pipeline: the from-scratch clustered escalation
-/// above, then register modelling and kernel emission — the shape
-/// `compile_full` replaced, with the seed phases underneath.
-fn full_pipeline_seed(
-    g: &Ddg,
-    machine: &MachineSpec,
-    config: PipelineConfig,
-) -> Option<clasp_kernel::Program> {
-    let (schedule, assignment) = clustered_seed(g, machine, config)?;
-    let model = RegisterModel::mve(&assignment.graph, &schedule);
-    Some(emit_program_with(
-        &assignment.graph,
-        &assignment.map,
-        &schedule,
-        16,
-        &model,
-    ))
-}
-
+/// One tracked stage. A pipeline stage has a single timing; a paired
+/// stage also times its reference side (serial, cold) and reports the
+/// speedup of the tracked side over it.
 struct Stage {
     name: &'static str,
-    baseline: Timing,
+    baseline: Option<Timing>,
     amortized: Timing,
 }
 
 impl Stage {
-    fn speedup_percent(&self) -> f64 {
-        let b = self.baseline.median_ns as f64;
-        let a = self.amortized.median_ns as f64;
-        if b == 0.0 {
-            return 0.0;
+    fn single(name: &'static str, amortized: Timing) -> Stage {
+        println!("{amortized}");
+        Stage {
+            name,
+            baseline: None,
+            amortized,
         }
+    }
+
+    fn paired(name: &'static str, baseline: Timing, amortized: Timing) -> Stage {
+        println!("{baseline}");
+        println!("{amortized}");
+        Stage {
+            name,
+            baseline: Some(baseline),
+            amortized,
+        }
+    }
+}
+
+fn speedup_percent(baseline: &Timing, amortized: &Timing) -> f64 {
+    let b = baseline.median_ns as f64;
+    let a = amortized.median_ns as f64;
+    if b == 0.0 {
+        0.0
+    } else {
         (1.0 - a / b) * 100.0
     }
 }
@@ -160,8 +98,8 @@ impl Stage {
 fn main() {
     let corpus = corpus();
     let machine = presets::four_cluster_gp(4, 2);
-    let sched_cfg = SchedulerConfig::default();
     let pipe_cfg = PipelineConfig::default();
+    let sched_cfg = pipe_cfg.sched;
     println!(
         "figures corpus: {} loops, machine {}, {} samples per measurement\n",
         corpus.len(),
@@ -169,35 +107,11 @@ fn main() {
         SAMPLES
     );
 
-    // Sanity first: the amortized sweep must agree with the seed sweep on
-    // every corpus loop (IIs equal; the seed module's own test checks
-    // bit-identical start cycles).
-    for g in &corpus {
-        let a = unified_ii_seed(g, &machine, sched_cfg);
-        let b = unified_ii_shared(g, &machine, sched_cfg);
-        assert_eq!(a, b, "amortized sweep diverged from seed on {}", g.name());
-    }
-
-    // Stage 1: analysis. The seed derived SCCs, RecMII, and the swing
-    // order independently at each use site; `LoopAnalysis` computes them
-    // (plus the CSR adjacency and priority index) once.
-    let analysis = Stage {
-        name: "analysis",
-        baseline: bench("analysis/seed-per-call", SAMPLES, || {
-            corpus
-                .iter()
-                .map(|g| {
-                    let sccs = clasp_ddg::find_sccs(g);
-                    let _ = clasp_ddg::rec_mii_with(g, &sccs);
-                    // Seed call sites re-ran SCC discovery inside the
-                    // ordering and RecMII paths; two passes model the
-                    // assigner's (ordering) + scheduler's (priority) uses.
-                    let order = clasp_ddg::swing_order(g);
-                    order.len()
-                })
-                .sum::<usize>()
-        }),
-        amortized: bench("analysis/loop-analysis", SAMPLES, || {
+    // Stage 1: analysis — SCCs, RecMII, the swing order, the CSR
+    // adjacency and priority index, computed once per loop.
+    let analysis = Stage::single(
+        "analysis",
+        bench("analysis/loop-analysis", SAMPLES, || {
             corpus
                 .iter()
                 .map(|g| {
@@ -206,37 +120,14 @@ fn main() {
                 })
                 .sum::<usize>()
         }),
-    };
-    println!("{}", analysis.baseline);
-    println!("{}", analysis.amortized);
+    );
 
-    // The seed assigner must agree with the current one on every corpus
-    // loop before its timings mean anything.
-    for g in &corpus {
-        let a = seed::assign_from(g, &machine, pipe_cfg.assign, 1).ok();
-        let b = assign_from(g, &machine, pipe_cfg.assign, 1).ok();
-        assert_eq!(
-            a.as_ref().map(|x| (x.ii, x.map.clone())),
-            b.as_ref().map(|x| (x.ii, x.map.clone())),
-            "seed assigner diverged from current on {}",
-            g.name()
-        );
-    }
-
-    // Stage 2: assignment. The baseline is the seed assigner (map-backed
-    // state, per-call SCC + swing-order recompute); the amortized side is
-    // the dense-state assigner reusing one precomputed `LoopAnalysis`.
+    // Stage 2: assignment — the dense-state assigner reusing one
+    // precomputed `LoopAnalysis` per loop.
     let analyses: Vec<LoopAnalysis> = corpus.iter().map(LoopAnalysis::compute).collect();
-    let assignment = Stage {
-        name: "assignment",
-        baseline: bench("assignment/seed", SAMPLES, || {
-            corpus
-                .iter()
-                .filter_map(|g| seed::assign_from(g, &machine, pipe_cfg.assign, 1).ok())
-                .map(|a| a.ii)
-                .sum::<u32>()
-        }),
-        amortized: bench("assignment/shared-analysis", SAMPLES, || {
+    let assignment = Stage::single(
+        "assignment",
+        bench("assignment/shared-analysis", SAMPLES, || {
             corpus
                 .iter()
                 .zip(&analyses)
@@ -246,30 +137,17 @@ fn main() {
                 .map(|a| a.ii)
                 .sum::<u32>()
         }),
-    };
-    println!("{}", assignment.baseline);
-    println!("{}", assignment.amortized);
+    );
 
     // Stage 3: scheduling a pre-assigned working graph across its II
-    // sweep: the seed scheduler (fresh everything per II, seed cap)
-    // versus one reusable context (dense epoch MRT, tightened cap).
+    // sweep with one reusable context (dense epoch MRT).
     let assigned: Vec<Assignment> = corpus
         .iter()
         .filter_map(|g| assign_from(g, &machine, pipe_cfg.assign, 1).ok())
         .collect();
-    let scheduling = Stage {
-        name: "scheduling",
-        baseline: bench("scheduling/seed-per-ii", SAMPLES, || {
-            assigned
-                .iter()
-                .filter_map(|a| {
-                    let cap = seed::max_ii_bound(&a.graph, a.ii);
-                    seed::schedule_in_range(&a.graph, &machine, &a.map, a.ii, cap, sched_cfg)
-                })
-                .map(|s| s.ii())
-                .sum::<u32>()
-        }),
-        amortized: bench("scheduling/shared-context", SAMPLES, || {
+    let scheduling = Stage::single(
+        "scheduling",
+        bench("scheduling/shared-context", SAMPLES, || {
             assigned
                 .iter()
                 .filter_map(|a| {
@@ -280,49 +158,24 @@ fn main() {
                 .map(|s| s.ii())
                 .sum::<u32>()
         }),
-    };
-    println!("{}", scheduling.baseline);
-    println!("{}", scheduling.amortized);
+    );
 
-    // End to end: the full figure pipeline (clustered compile + unified
-    // baseline) in the seed's shape versus the amortized pipeline.
-    let end_to_end = Stage {
-        name: "end-to-end",
-        baseline: bench("end-to-end/seed", SAMPLES, || {
-            corpus
-                .iter()
-                .filter_map(|g| end_to_end_seed(g, &machine, pipe_cfg))
-                .map(|(c, u)| c + u)
-                .sum::<u32>()
-        }),
-        amortized: bench("end-to-end/amortized", SAMPLES, || {
+    // End to end: the figure pipeline (clustered compile + unified
+    // baseline) for every corpus loop.
+    let end_to_end = Stage::single(
+        "end-to-end",
+        bench("end-to-end/amortized", SAMPLES, || {
             corpus
                 .iter()
                 .filter_map(|g| compare_with_unified(g, &machine, pipe_cfg).ok())
                 .map(|(c, u)| c + u)
                 .sum::<u32>()
         }),
-    };
-    println!("{}", end_to_end.baseline);
-    println!("{}", end_to_end.amortized);
+    );
 
-    // The figures must not change: both pipelines see the same IIs.
-    let baseline_iis: Vec<_> = corpus
-        .iter()
-        .map(|g| end_to_end_seed(g, &machine, pipe_cfg))
-        .collect();
-    let amortized_iis: Vec<_> = corpus
-        .iter()
-        .map(|g| compare_with_unified(g, &machine, pipe_cfg).ok())
-        .collect();
-    assert_eq!(baseline_iis, amortized_iis, "pipeline IIs diverged");
-
-    // Full pipeline through kernel emission: the seed phases composed
-    // into the same compile-register-emit sequence versus one
-    // `compile_full` call (carried assigner workspace, packed MRT,
-    // arena-backed materialization underneath). Both sides must first
-    // prove they emit bit-identical kernels — and the driver must match
-    // the hand-composed glue — before the timings mean anything.
+    // Full pipeline through kernel emission: one `compile_full` call per
+    // loop. The driver must first match the hand-composed
+    // compile-register-emit glue before the timing means anything.
     let full_req = CompileRequest {
         pipeline: pipe_cfg,
         restage: false,
@@ -348,33 +201,17 @@ fn main() {
             "driver kernel diverged from glue on {}",
             g.name()
         );
-        let seeded = full_pipeline_seed(g, &machine, pipe_cfg);
-        assert_eq!(
-            seeded,
-            driver,
-            "driver kernel diverged from seed pipeline on {}",
-            g.name()
-        );
     }
-    let full_pipeline = Stage {
-        name: "full-pipeline",
-        baseline: bench("full-pipeline/seed", SAMPLES, || {
-            corpus
-                .iter()
-                .filter_map(|g| full_pipeline_seed(g, &machine, pipe_cfg))
-                .map(|p| p.issue_count())
-                .sum::<usize>()
-        }),
-        amortized: bench("full-pipeline/compile-full", SAMPLES, || {
+    let full_pipeline = Stage::single(
+        "full-pipeline",
+        bench("full-pipeline/compile-full", SAMPLES, || {
             corpus
                 .iter()
                 .filter_map(|g| compile_full(g, &machine, &full_req).ok())
                 .map(|a| a.program.issue_count())
                 .sum::<usize>()
         }),
-    };
-    println!("{}", full_pipeline.baseline);
-    println!("{}", full_pipeline.amortized);
+    );
 
     // Corpus sweep on the deterministic executor: the serial corpus
     // compile versus the same compiles on `clasp_exec::sweep` with one
@@ -396,12 +233,12 @@ fn main() {
             "sweep diverged from serial at {t} workers"
         );
     }
-    let corpus_sweep = Stage {
-        name: "corpus-sweep",
-        baseline: bench("corpus/serial", SAMPLES, || {
+    let corpus_sweep = Stage::paired(
+        "corpus-sweep",
+        bench("corpus/serial", SAMPLES, || {
             corpus.iter().filter_map(compile_ii).count()
         }),
-        amortized: bench("corpus/parallel", SAMPLES, || {
+        bench("corpus/parallel", SAMPLES, || {
             clasp_exec::sweep(
                 threads,
                 &corpus,
@@ -413,9 +250,7 @@ fn main() {
             .flatten()
             .count()
         }),
-    };
-    println!("{}", corpus_sweep.baseline);
-    println!("{}", corpus_sweep.amortized);
+    );
 
     // Content-addressed compile cache behind the service facade: the
     // cold corpus compile versus replaying it against a warmed service
@@ -425,9 +260,9 @@ fn main() {
     for g in &corpus {
         warm.compile_artifact(g, &machine, &full_req, &quiet);
     }
-    let compile_cache = Stage {
-        name: "compile-cache",
-        baseline: bench("cache/cold", SAMPLES, || {
+    let compile_cache = Stage::paired(
+        "compile-cache",
+        bench("cache/cold", SAMPLES, || {
             let cold = CompileService::in_memory();
             corpus
                 .iter()
@@ -437,7 +272,7 @@ fn main() {
                 })
                 .count()
         }),
-        amortized: bench("cache/warm", SAMPLES, || {
+        bench("cache/warm", SAMPLES, || {
             corpus
                 .iter()
                 .filter(|g| {
@@ -446,9 +281,7 @@ fn main() {
                 })
                 .count()
         }),
-    };
-    println!("{}", compile_cache.baseline);
-    println!("{}", compile_cache.amortized);
+    );
     let cache_stats = warm.stats();
 
     // Fuzz stage: the differential oracle (compile + all invariant
@@ -479,13 +312,10 @@ fn main() {
         );
         report.checked
     };
-    let fuzz = Stage {
-        name: "fuzz",
-        baseline: bench("fuzz/serial", SAMPLES, || run_fuzz_at(1)),
-        amortized: bench("fuzz/parallel", SAMPLES, || run_fuzz_at(threads)),
-    };
-    println!("{}", fuzz.baseline);
-    println!("{}", fuzz.amortized);
+    let fuzz_serial = bench("fuzz/serial", SAMPLES, || run_fuzz_at(1));
+    let fuzz_parallel = bench("fuzz/parallel", SAMPLES, || run_fuzz_at(threads));
+    let (fuzz_serial_ns, fuzz_parallel_ns) = (fuzz_serial.median_ns, fuzz_parallel.median_ns);
+    let fuzz = Stage::paired("fuzz", fuzz_serial, fuzz_parallel);
 
     // The wire path: the same corpus compiled through a `clasp-serve`
     // daemon over localhost TCP. Correctness gate first: the daemon's
@@ -531,9 +361,9 @@ fn main() {
             g.name()
         );
     }
-    let serve = Stage {
-        name: "serve",
-        baseline: bench("serve/cold", SAMPLES, || {
+    let serve = Stage::paired(
+        "serve",
+        bench("serve/cold", SAMPLES, || {
             // A fresh daemon per sample: every request is a true miss
             // compiled behind the wire, plus daemon start and shutdown.
             let server = Server::start(
@@ -549,7 +379,7 @@ fn main() {
             server.shutdown().expect("graceful shutdown");
             served
         }),
-        amortized: bench("serve/warm", SAMPLES, || {
+        bench("serve/warm", SAMPLES, || {
             // Steady state: every request a memory hit on the warmed
             // daemon — framing + lookup + canonical payload, no compile.
             wire_requests
@@ -557,9 +387,7 @@ fn main() {
                 .filter(|wire| warm_client.roundtrip(wire).is_ok())
                 .count()
         }),
-    };
-    println!("{}", serve.baseline);
-    println!("{}", serve.amortized);
+    );
     drop(warm_client);
     warm_server.shutdown().expect("graceful warm shutdown");
 
@@ -656,13 +484,20 @@ fn main() {
     ];
     println!();
     for s in &stages {
-        println!(
-            "{:<12} baseline {:>12}  amortized {:>12}  speedup {:>6.1}%",
-            s.name,
-            fmt_ns(s.baseline.median_ns),
-            fmt_ns(s.amortized.median_ns),
-            s.speedup_percent()
-        );
+        match &s.baseline {
+            Some(baseline) => println!(
+                "{:<14} baseline {:>12}  amortized {:>12}  speedup {:>6.1}%",
+                s.name,
+                fmt_ns(baseline.median_ns),
+                fmt_ns(s.amortized.median_ns),
+                speedup_percent(baseline, &s.amortized),
+            ),
+            None => println!(
+                "{:<14} median {:>12}",
+                s.name,
+                fmt_ns(s.amortized.median_ns)
+            ),
+        }
     }
 
     let mut json = String::new();
@@ -674,15 +509,20 @@ fn main() {
         json_escape(machine.name())
     ));
     json.push_str(&format!("  \"samples\": {},\n", SAMPLES));
-    json.push_str("  \"baseline\": \"vendored seed implementation (clasp_bench::seed)\",\n");
     json.push_str("  \"stages\": {\n");
     for (i, s) in stages.iter().enumerate() {
+        let fields = match &s.baseline {
+            Some(baseline) => format!(
+                "\"baseline_median_ns\": {}, \"amortized_median_ns\": {}, \"speedup_percent\": {:.1}",
+                baseline.median_ns,
+                s.amortized.median_ns,
+                speedup_percent(baseline, &s.amortized)
+            ),
+            None => format!("\"amortized_median_ns\": {}", s.amortized.median_ns),
+        };
         json.push_str(&format!(
-            "    \"{}\": {{\"baseline_median_ns\": {}, \"amortized_median_ns\": {}, \"speedup_percent\": {:.1}}}{}\n",
+            "    \"{}\": {{{fields}}}{}\n",
             s.name,
-            s.baseline.median_ns,
-            s.amortized.median_ns,
-            s.speedup_percent(),
             if i + 1 < stages.len() { "," } else { "" }
         ));
     }
@@ -694,7 +534,7 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"fuzz\": {{\"cases\": {}, \"serial_median_ns\": {}, \"parallel_median_ns\": {}}},\n",
-        FUZZ_CASES, fuzz.baseline.median_ns, fuzz.amortized.median_ns
+        FUZZ_CASES, fuzz_serial_ns, fuzz_parallel_ns
     ));
     json.push_str(&format!("  \"strata\": {},\n", strata.render_json_block()));
     json.push_str("  \"obs\": {\"counters\": {\n");

@@ -13,8 +13,6 @@
 //! - `bench-report` (binary): per-stage pipeline timings written to
 //!   `BENCH_sched.json` at the repo root, tracking the perf trajectory.
 
-pub mod seed;
-
 use std::time::Instant;
 
 /// One measured workload: wall-clock statistics over repeated runs.

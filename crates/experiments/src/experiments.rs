@@ -468,7 +468,7 @@ pub fn registers(corpus: &[Ddg]) {
 /// et al.) vs the paper's pre-scheduling assignment, on the recurrence
 /// subset where the difference is structural.
 pub fn baseline_post(corpus: &[Ddg]) {
-    use clasp::{compile_loop, compile_loop_post, unified_ii};
+    use clasp::{compile_loop, compile_loop_post, obs::Obs, unified_ii};
     println!(
         "\n=== Baseline: post-scheduling partitioning (Capitanio) vs pre-scheduling assignment ==="
     );
@@ -485,7 +485,7 @@ pub fn baseline_post(corpus: &[Ddg]) {
             };
             let (Ok(pre), Ok(post)) = (
                 compile_loop(g, &m, full()),
-                compile_loop_post(g, &m, full()),
+                compile_loop_post(g, &m, full(), &Obs::disabled()),
             ) else {
                 continue;
             };

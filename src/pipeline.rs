@@ -224,34 +224,69 @@ fn assign_observed(
     result
 }
 
-/// The Figure 5 escalation loop, reporting every attempt to `on_attempt`
-/// as `(requested II, assignment, scheduler failure)` — `None` on the
-/// successful final attempt — and to `obs` as one `pipeline.attempt`
-/// span per iteration carrying the requested II, the achieved II, the
-/// copies inserted, and the typed failure. The driver builds its II
-/// trajectory from these callbacks; `compile_loop` passes a no-op.
+/// The Figure 5 escalation on the loop's carried [`Assigner`]
+/// workspace, reporting every attempt to `on_attempt` as `(requested II,
+/// assignment, scheduler failure)` — `None` on the successful final
+/// attempt. The driver builds its II trajectory from these callbacks;
+/// `compile_loop` passes a no-op.
 pub(crate) fn compile_loop_observed(
     g: &Ddg,
     machine: &MachineSpec,
     config: PipelineConfig,
     analysis: &LoopAnalysis,
     obs: &Obs,
-    mut on_attempt: impl FnMut(u32, &Assignment, Option<&SchedFailure>),
+    on_attempt: impl FnMut(u32, &Assignment, Option<&SchedFailure>),
 ) -> Result<CompiledLoop, PipelineError> {
-    let (start, cap) =
-        ii_search_range(g, machine.unified_equivalent().mii(g), config.assign.max_ii)
-            .map_err(PipelineError::UnifiedBaselineFailed)?;
+    // The range is checked before the workspace is built: on a machine
+    // that cannot execute some operation, the unified-baseline failure
+    // must win over the assigner's `InfeasibleOp`.
+    let range = escalation_range(g, machine, config)?;
     // One assignment workspace serves every escalation attempt of this
     // loop: scheduler-driven retries re-enter it at a larger II with the
     // working state reset in place and the failed attempt's assignment
     // buffers recycled, instead of rebuilding everything from scratch.
     let mut assigner = Assigner::with_analysis(g, machine, config.assign, analysis)?;
+    let assign = |min_ii, rejected| {
+        if let Some(rejected) = rejected {
+            assigner.recycle(rejected);
+        }
+        assign_observed(&mut assigner, min_ii, obs)
+    };
+    escalate(machine, config, range, obs, assign, on_attempt)
+}
+
+/// The clustered escalation range of `g`, or the unified-baseline
+/// failure that leaves it empty.
+fn escalation_range(
+    g: &Ddg,
+    machine: &MachineSpec,
+    config: PipelineConfig,
+) -> Result<(u32, u32), PipelineError> {
+    ii_search_range(g, machine.unified_equivalent().mii(g), config.assign.max_ii)
+        .map_err(PipelineError::UnifiedBaselineFailed)
+}
+
+/// The Figure 5 escalation loop over the II range `(start, cap)`.
+/// `assign` runs one attempt's assignment at a minimum II, first taking
+/// back the previous attempt's rejected assignment (if any) so its
+/// buffers can be reused. Every attempt is reported to `on_attempt` and
+/// to `obs` as one `pipeline.attempt` span carrying the requested II,
+/// the achieved II, the copies inserted, and the typed failure.
+fn escalate(
+    machine: &MachineSpec,
+    config: PipelineConfig,
+    (start, cap): (u32, u32),
+    obs: &Obs,
+    mut assign: impl FnMut(u32, Option<Assignment>) -> Result<Assignment, AssignError>,
+    mut on_attempt: impl FnMut(u32, &Assignment, Option<&SchedFailure>),
+) -> Result<CompiledLoop, PipelineError> {
     let mut min_ii = start;
+    let mut rejected = None;
     let mut last = None;
     let mut attempted_max = None;
     while min_ii <= cap {
         let span = obs.begin("pipeline.attempt");
-        let assignment = match assign_observed(&mut assigner, min_ii, obs) {
+        let assignment = match assign(min_ii, rejected.take()) {
             Ok(a) => a,
             Err(e) => {
                 obs.end_with(span, || {
@@ -305,11 +340,9 @@ pub(crate) fn compile_loop_observed(
                 // Scheduler failed at the assignment's II: the paper
                 // restarts the whole process one II higher (a fresh
                 // assignment generally needs fewer copies at a larger II).
-                // The discarded assignment's buffers go back to the
-                // workspace for the next attempt's materialization.
                 on_attempt(min_ii, &assignment, Some(&failure));
                 min_ii = assignment.ii + 1;
-                assigner.recycle(assignment);
+                rejected = Some(assignment);
                 last = Some(failure);
             }
         }
@@ -324,7 +357,9 @@ pub(crate) fn compile_loop_observed(
 /// et al., the paper's §1.4 foil) in place of the paper's assignment
 /// pass: slice a unified-order schedule across clusters, insert copies
 /// afterwards, and escalate II whenever the partition or the scheduler
-/// fails. Exists for the `baseline-post` experiment.
+/// fails. Each escalation attempt is recorded into `obs` with the same
+/// span and counter taxonomy as the paper's own pipeline. Exists for
+/// the `baseline-post` experiment.
 ///
 /// # Errors
 ///
@@ -333,89 +368,11 @@ pub fn compile_loop_post(
     g: &Ddg,
     machine: &MachineSpec,
     config: PipelineConfig,
-) -> Result<CompiledLoop, PipelineError> {
-    compile_loop_post_observed(g, machine, config, &Obs::disabled())
-}
-
-/// [`compile_loop_post`] recording each escalation attempt into `obs`
-/// (same span and counter taxonomy as the paper's own pipeline).
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_loop_post_observed(
-    g: &Ddg,
-    machine: &MachineSpec,
-    config: PipelineConfig,
     obs: &Obs,
 ) -> Result<CompiledLoop, PipelineError> {
-    let (start, cap) =
-        ii_search_range(g, machine.unified_equivalent().mii(g), config.assign.max_ii)
-            .map_err(PipelineError::UnifiedBaselineFailed)?;
-    let mut min_ii = start;
-    let mut last = None;
-    let mut attempted_max = None;
-    while min_ii <= cap {
-        let span = obs.begin("pipeline.attempt");
-        let assignment = match post_scheduling_assign_from(g, machine, config.assign, min_ii) {
-            Ok(a) => a,
-            Err(e) => {
-                obs.end_with(span, || {
-                    vec![
-                        ("requested_ii", min_ii.to_string()),
-                        ("result", format!("assign failed: {e}")),
-                    ]
-                });
-                return Err(e.into());
-            }
-        };
-        let (result, stats) = schedule_with_stats(
-            config.scheduler,
-            &assignment.graph,
-            machine,
-            &assignment.map,
-            assignment.ii,
-            config.sched,
-        );
-        obs.add(Counter::PipelineAttempts, 1);
-        obs.add(Counter::AssignCopies, assignment.copy_count() as u64);
-        fold_sched_stats(obs, &stats);
-        attempted_max = Some(assignment.ii);
-        obs.end_with(span, || {
-            let mut args = vec![
-                ("requested_ii", min_ii.to_string()),
-                ("assigned_ii", assignment.ii.to_string()),
-                ("copies", assignment.copy_count().to_string()),
-                (
-                    "result",
-                    match &result {
-                        Ok(_) => "ok".to_string(),
-                        Err(f) => f.to_string(),
-                    },
-                ),
-            ];
-            if let Some(n) = result.as_ref().err().and_then(|f| f.blocking_node()) {
-                args.push(("blocked_on", n.to_string()));
-            }
-            args
-        });
-        match result {
-            Ok(schedule) => {
-                return Ok(CompiledLoop {
-                    assignment,
-                    schedule,
-                });
-            }
-            Err(failure) => {
-                min_ii = assignment.ii + 1;
-                last = Some(failure);
-            }
-        }
-    }
-    Err(PipelineError::IiExhausted {
-        max_ii: attempted_max.unwrap_or(cap),
-        last,
-    })
+    let range = escalation_range(g, machine, config)?;
+    let assign = |min_ii, _| post_scheduling_assign_from(g, machine, config.assign, min_ii);
+    escalate(machine, config, range, obs, assign, |_, _, _| {})
 }
 
 /// The paper's baseline: the II the same loop achieves on the equally

@@ -541,7 +541,14 @@ mod tests {
             }
             // Odd cycles drop without a single frame: abrupt close.
         }
+        // A connect can return while its connection still sits in the
+        // kernel's accept backlog, so an empty registry alone does not
+        // mean every connection was seen: wait for the accepted count
+        // first, then for the drain.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while server.connections_accepted() < 40 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
         while server.open_connections() > 0 {
             assert!(
                 std::time::Instant::now() < deadline,

@@ -5,8 +5,8 @@
 
 use clasp::obs::{Counter, Obs, SpanRecord};
 use clasp::{
-    compile_full_observed, compile_loop, compile_loop_post, compile_loop_post_observed,
-    CompileCache, CompileRequest, PipelineConfig, PipelineError,
+    compile_full_observed, compile_loop, compile_loop_post, CompileCache, CompileRequest,
+    PipelineConfig, PipelineError,
 };
 use clasp_ddg::{Ddg, OpKind};
 use clasp_machine::{presets, ClusterSpec, Interconnect, MachineSpec};
@@ -210,7 +210,7 @@ fn unbounded_mii_fails_fast_in_both_escalation_loops() {
         expected
     );
     assert_eq!(
-        compile_loop_post(&g, &machine, PipelineConfig::default()).unwrap_err(),
+        compile_loop_post(&g, &machine, PipelineConfig::default(), &Obs::disabled()).unwrap_err(),
         expected
     );
 }
@@ -230,7 +230,7 @@ fn ii_exhausted_reports_the_largest_ii_actually_attempted() {
         ..PipelineConfig::default()
     };
     let obs = Obs::enabled();
-    let err = compile_loop_post_observed(&g, &machine, config, &obs).unwrap_err();
+    let err = compile_loop_post(&g, &machine, config, &obs).unwrap_err();
     let PipelineError::IiExhausted { max_ii, last } = err else {
         panic!("expected IiExhausted, got {err}")
     };

@@ -24,15 +24,27 @@ fn request(i: usize) -> ServiceRequest {
     )
 }
 
-fn wait_for_drain(server: &Server, below: usize) -> usize {
+/// Polls `read` until `done` holds or ten seconds pass; returns the last
+/// value read.
+fn wait_until<T: Copy>(read: impl Fn() -> T, done: impl Fn(T) -> bool) -> T {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let open = server.open_connections();
-        if open <= below || Instant::now() >= deadline {
-            return open;
+        let value = read();
+        if done(value) || Instant::now() >= deadline {
+            return value;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// Waits until the daemon has accepted `accepted` connections, then
+/// until its registry has drained; returns the open count. A client's
+/// connect can return while its connection still sits in the kernel's
+/// accept backlog, so the registry may read empty before the last
+/// connection is even accepted: the accepted count must settle first.
+fn wait_for_accept_then_drain(server: &Server, accepted: u64) -> usize {
+    wait_until(|| server.connections_accepted(), |n| n >= accepted);
+    wait_until(|| server.open_connections(), |n| n == 0)
 }
 
 #[test]
@@ -77,7 +89,11 @@ fn daemon_soaks_through_churning_clients_without_leaking() {
             i + 1
         );
     }
-    assert_eq!(wait_for_drain(&server, 0), 0, "registry did not drain");
+    assert_eq!(
+        wait_for_accept_then_drain(&server, 300),
+        0,
+        "registry did not drain"
+    );
     assert_eq!(server.connections_accepted(), 300);
 
     // Phase 2: dozens of concurrent clients, half leaving cleanly
@@ -106,7 +122,11 @@ fn daemon_soaks_through_churning_clients_without_leaking() {
         }
     });
     assert_eq!(divergences.load(Ordering::Relaxed), 0);
-    assert_eq!(wait_for_drain(&server, 0), 0, "registry did not drain");
+    assert_eq!(
+        wait_for_accept_then_drain(&server, 300 + 24),
+        0,
+        "registry did not drain"
+    );
     assert_eq!(server.connections_accepted(), 300 + 24);
     assert_eq!(server.handler_panics(), 0);
 
