@@ -396,6 +396,24 @@ impl<V> ContentCache<V> {
         (value, installer, evicted)
     }
 
+    /// A hit-only lookup: the installed value for `key`, counted as a
+    /// hit and marked referenced exactly as
+    /// [`ContentCache::get_or_compute`] would. An absent key, or one
+    /// whose value is still being computed, returns `None` and touches
+    /// no counter, so a caller that falls back to `get_or_compute`
+    /// counts that lookup once, as the miss or hit it turns out to be.
+    pub fn peek(&self, key: CacheKey) -> Option<Arc<V>> {
+        let value = {
+            let mut state = self.state.lock().expect("cache map lock");
+            let entry = state.map.get_mut(&key)?;
+            let value = Arc::clone(entry.cell.get()?);
+            entry.referenced = true;
+            value
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
+    }
+
     /// Sample the counters.
     pub fn stats(&self) -> CacheStats {
         let state = self.state.lock().expect("cache map lock");
@@ -579,6 +597,52 @@ mod tests {
         assert_eq!(stats.misses, 10);
         assert_eq!(stats.hits, 8 * 100 - 10);
         assert_eq!(stats.entries, 10);
+    }
+
+    #[test]
+    fn peek_counts_only_hits_and_keeps_the_second_chance_bit() {
+        let cache: ContentCache<u64> = ContentCache::bounded(2);
+        let (a, b, c) = (
+            CacheKey::of(&["a"]),
+            CacheKey::of(&["b"]),
+            CacheKey::of(&["c"]),
+        );
+        assert_eq!(cache.peek(a), None, "absent key");
+        assert_eq!(cache.stats().hits + cache.stats().misses, 0);
+        cache.get_or_compute_weighed(a, || (1, 1));
+        cache.get_or_compute_weighed(b, || (2, 1));
+        assert_eq!(cache.peek(a).as_deref(), Some(&1));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+        // The peek set `a`'s referenced bit, so installing `c` evicts one
+        // of the two unreferenced entries, whatever the key order.
+        let (_, _, evicted) = cache.get_or_compute_weighed(c, || (3, 1));
+        assert_eq!(evicted, 1);
+        assert_eq!(cache.peek(a).as_deref(), Some(&1));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 3, 2));
+    }
+
+    #[test]
+    fn peek_does_not_wait_for_an_in_flight_value() {
+        let cache: ContentCache<u64> = ContentCache::new();
+        let key = CacheKey::of(&["slow"]);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let cache = &cache;
+            s.spawn(move || {
+                cache.get_or_compute(key, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    5
+                })
+            });
+            started_rx.recv().unwrap();
+            assert_eq!(cache.peek(key), None, "in flight");
+            release_tx.send(()).unwrap();
+        });
+        assert_eq!(cache.peek(key).as_deref(), Some(&5));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     }
 
     #[test]

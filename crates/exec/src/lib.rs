@@ -41,4 +41,6 @@ pub use executor::{
     resolve_threads, sweep, sweep_observed, sweep_with, sweep_with_observed, try_sweep,
     try_sweep_observed, SweepPanic,
 };
-pub use tier::{CacheTier, DiskTier, TierGrade, TierLoad, TierStats, TieredCache, TieredStats};
+pub use tier::{
+    CacheTier, DiskTier, Encoded, TierGrade, TierLoad, TierStats, TieredCache, TieredStats,
+};

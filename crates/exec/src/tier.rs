@@ -278,13 +278,26 @@ pub struct TieredStats {
     pub promotions: u64,
 }
 
+/// One memory-tier entry of a [`TieredCache`]: the value and its
+/// encoded payload, kept side by side so a caller that answers with the
+/// payload (the compile daemon's wire reply) never encodes on a hit.
+#[derive(Debug)]
+pub struct Encoded<V> {
+    /// The computed or decoded value.
+    pub value: V,
+    /// The value's encoding: the bytes persisted to the disk tier and
+    /// charged to the memory tier's byte budget.
+    pub payload: String,
+}
+
 /// Memory-over-disk composition: an in-memory [`ContentCache`] backed
 /// by an optional persistent [`CacheTier`]. Lookups check memory first;
 /// on a memory miss the persistent tier is consulted, a decodable
 /// payload is *promoted* into memory, and only then does the compute
 /// run (encoding and storing its result through for the next process).
+/// Every memory entry holds the value's [`Encoded`] payload too.
 pub struct TieredCache<V> {
-    memory: ContentCache<V>,
+    memory: ContentCache<Encoded<V>>,
     disk: Option<Arc<dyn CacheTier>>,
     promotions: AtomicU64,
 }
@@ -300,7 +313,7 @@ impl<V> fmt::Debug for TieredCache<V> {
 
 impl<V> TieredCache<V> {
     /// A memory-only tiered cache (no persistence).
-    pub fn memory_only(memory: ContentCache<V>) -> TieredCache<V> {
+    pub fn memory_only(memory: ContentCache<Encoded<V>>) -> TieredCache<V> {
         TieredCache {
             memory,
             disk: None,
@@ -309,7 +322,7 @@ impl<V> TieredCache<V> {
     }
 
     /// Memory over a persistent tier.
-    pub fn over(memory: ContentCache<V>, disk: Arc<dyn CacheTier>) -> TieredCache<V> {
+    pub fn over(memory: ContentCache<Encoded<V>>, disk: Arc<dyn CacheTier>) -> TieredCache<V> {
         TieredCache {
             memory,
             disk: Some(disk),
@@ -324,29 +337,33 @@ impl<V> TieredCache<V> {
 
     /// Look up `key`, trying memory, then the persistent tier (via
     /// `decode`), then `compute` (whose result is persisted via
-    /// `encode`). Returns the value, how the lookup was served, and how
+    /// `encode`). Returns the entry, how the lookup was served, and how
     /// many memory entries this call's installation evicted.
     ///
-    /// The encoded payload's byte length is charged to the memory
-    /// tier's byte budget as the entry's weight, for promoted and
-    /// computed entries alike.
+    /// The entry's payload is always `encode` of its value: a promoted
+    /// value is re-encoded rather than trusting the stored bytes, so a
+    /// payload that decodes but is not in canonical form never reaches
+    /// a caller. The payload's byte length is charged to the memory
+    /// tier's byte budget as the entry's weight.
     pub fn get_or_compute(
         &self,
         key: CacheKey,
         decode: impl FnOnce(&str) -> Option<V>,
         encode: impl FnOnce(&V) -> String,
         compute: impl FnOnce() -> V,
-    ) -> (Arc<V>, TierGrade, u64) {
+    ) -> (Arc<Encoded<V>>, TierGrade, u64) {
         let mut grade = TierGrade::Memory;
-        let (value, _missed, evicted) = self.memory.get_or_compute_weighed(key, || {
+        let (entry, _missed, evicted) = self.memory.get_or_compute_weighed(key, || {
             let mut disk_error = false;
             if let Some(disk) = &self.disk {
                 match disk.load(key) {
-                    TierLoad::Hit(payload) => match decode(&payload) {
-                        Some(v) => {
+                    TierLoad::Hit(stored) => match decode(&stored) {
+                        Some(value) => {
                             self.promotions.fetch_add(1, Ordering::Relaxed);
                             grade = TierGrade::Disk;
-                            return (v, payload.len());
+                            let payload = encode(&value);
+                            let weight = payload.len();
+                            return (Encoded { value, payload }, weight);
                         }
                         // A payload that parses its header but not its
                         // body is corruption the header check couldn't
@@ -358,14 +375,22 @@ impl<V> TieredCache<V> {
                 }
             }
             grade = TierGrade::Computed { disk_error };
-            let v = compute();
-            let payload = encode(&v);
+            let value = compute();
+            let payload = encode(&value);
             if let Some(disk) = &self.disk {
                 disk.store(key, &payload);
             }
-            (v, payload.len())
+            let weight = payload.len();
+            (Encoded { value, payload }, weight)
         });
-        (value, grade, evicted)
+        (entry, grade, evicted)
+    }
+
+    /// The memory-tier entry for `key` if it is resident, counted as a
+    /// memory hit; never consults the persistent tier and never
+    /// computes (see [`ContentCache::peek`]).
+    pub fn peek(&self, key: CacheKey) -> Option<Arc<Encoded<V>>> {
+        self.memory.peek(key)
     }
 
     /// Sample all counters.
@@ -448,7 +473,7 @@ mod tests {
         // First process: computes and persists.
         let first: TieredCache<u64> = TieredCache::over(ContentCache::new(), Arc::clone(&disk));
         let (v, grade, _) = first.get_or_compute(key, |s| s.parse().ok(), |v| v.to_string(), || 42);
-        assert_eq!(*v, 42);
+        assert_eq!((v.value, v.payload.as_str()), (42, "42"));
         assert_eq!(grade, TierGrade::Computed { disk_error: false });
 
         // "Restart": fresh memory, same directory — disk hit, promoted.
@@ -462,7 +487,7 @@ mod tests {
             |v| v.to_string(),
             || unreachable!("must be served from disk"),
         );
-        assert_eq!(*v, 42);
+        assert_eq!((v.value, v.payload.as_str()), (42, "42"));
         assert_eq!(grade, TierGrade::Disk);
         assert_eq!(second.stats().promotions, 1);
 
@@ -478,6 +503,33 @@ mod tests {
     }
 
     #[test]
+    fn promotion_re_encodes_and_peek_serves_only_memory() {
+        let root = tmpdir("reencode");
+        let disk = Arc::new(DiskTier::open(&root, "t1").unwrap());
+        let key = CacheKey::of(&["x"]);
+        // Decodable but not canonical: the entry must carry `encode`'s
+        // rendering, not the stored bytes.
+        disk.store(key, "042");
+        let cache: TieredCache<u64> =
+            TieredCache::over(ContentCache::new(), Arc::clone(&disk) as Arc<dyn CacheTier>);
+        assert!(cache.peek(key).is_none(), "peek never reads the disk tier");
+        let (v, grade, _) = cache.get_or_compute(
+            key,
+            |s| s.parse().ok(),
+            |v| v.to_string(),
+            || unreachable!(),
+        );
+        assert_eq!(grade, TierGrade::Disk);
+        assert_eq!((v.value, v.payload.as_str()), (42, "42"));
+        let peeked = cache.peek(key).expect("promoted into memory");
+        assert!(Arc::ptr_eq(&peeked, &v));
+        let stats = cache.stats();
+        assert_eq!((stats.memory.hits, stats.memory.misses), (1, 1));
+        assert_eq!((stats.disk.hits, stats.promotions), (1, 1));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn undecodable_payload_recomputes_with_disk_error() {
         let root = tmpdir("undecodable");
         let disk = Arc::new(DiskTier::open(&root, "t1").unwrap());
@@ -486,7 +538,7 @@ mod tests {
         let cache: TieredCache<u64> =
             TieredCache::over(ContentCache::new(), Arc::clone(&disk) as Arc<dyn CacheTier>);
         let (v, grade, _) = cache.get_or_compute(key, |s| s.parse().ok(), |v| v.to_string(), || 7);
-        assert_eq!(*v, 7);
+        assert_eq!(v.value, 7);
         assert_eq!(grade, TierGrade::Computed { disk_error: true });
         // The recompute stored a good payload over the bad one.
         assert_eq!(disk.load(key), TierLoad::Hit("7".to_string()));

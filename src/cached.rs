@@ -21,11 +21,23 @@
 //!
 //! Results (including failures) are memoized behind `Arc`, and hit/miss
 //! counters are deterministic even under thread contention — see
-//! [`clasp_exec::cache`] for the contention contract. With a disk tier
-//! attached (see [`CompileCache::with_limits`]), every computed result
-//! is persisted through the [`crate::codec`] canonical serialization
-//! and later processes are served from disk (a *promotion*), with the
-//! outcome ticked into [`Counter::CacheDiskHits`],
+//! [`clasp_exec::cache`] for the contention contract.
+//!
+//! # Stored payload
+//!
+//! Every memory entry keeps the [`crate::codec`] payload of its result
+//! next to the result itself ([`clasp_exec::Encoded`]). The payload is
+//! encoded once, when the entry is installed: it weighs the entry
+//! against the memory byte budget, it is what the disk tier persists,
+//! and it is the artifact body of every wire reply the compile service
+//! sends for the key, so a hit never re-encodes. The key includes the
+//! request's iteration count, the one request knob the encoding reads,
+//! so one key has exactly one payload.
+//!
+//! With a disk tier attached (see [`CompileCache::with_limits`]), every
+//! computed result is persisted and later processes are served from
+//! disk (a *promotion*, re-encoded so the entry's payload is canonical),
+//! with the outcome ticked into [`Counter::CacheDiskHits`],
 //! [`Counter::CacheDiskErrors`], [`Counter::CachePromotions`] and
 //! [`Counter::CacheEvictions`].
 
@@ -34,7 +46,8 @@ use crate::driver::{compile_full_observed, CompileRequest, CompiledArtifact};
 use crate::pipeline::PipelineError;
 use clasp_ddg::Ddg;
 use clasp_exec::{
-    CacheKey, CacheStats, ContentCache, DiskTier, KeyBuilder, TierGrade, TieredCache, TieredStats,
+    CacheKey, CacheStats, ContentCache, DiskTier, Encoded, KeyBuilder, TierGrade, TieredCache,
+    TieredStats,
 };
 use clasp_machine::MachineSpec;
 use clasp_obs::{Counter, Obs};
@@ -43,13 +56,17 @@ use std::sync::Arc;
 /// A memoized result: the artifact or the pipeline's refusal.
 pub type CachedCompile = Arc<Result<CompiledArtifact, PipelineError>>;
 
+/// A memory-tier entry: the memoized result and its codec payload (see
+/// the module docs).
+pub(crate) type StoredCompile = Encoded<CachedCompile>;
+
 /// A shared, thread-safe memo table for [`compile_full`] keyed by
 /// compile content (canonical loop text, canonical machine text,
 /// request rendering). See the module docs for the collision contract.
 ///
 /// [`compile_full`]: crate::compile_full
 pub struct CompileCache {
-    cache: TieredCache<Result<CompiledArtifact, PipelineError>>,
+    cache: TieredCache<CachedCompile>,
 }
 
 impl Default for CompileCache {
@@ -133,14 +150,34 @@ impl CompileCache {
         req: &CompileRequest,
         obs: &Obs,
     ) -> CachedCompile {
+        let (_, entry) = self.lookup(g, machine, req, obs, || ());
+        Arc::clone(&entry.value)
+    }
+
+    /// [`CompileCache::compile_observed`] returning the key and the whole
+    /// memory entry. `admit` runs right before the compile, and only
+    /// when one runs: what it returns is held for the compile's
+    /// duration, so the compile service passes its admission gate here
+    /// and hits and promotions never wait on it.
+    pub(crate) fn lookup<P>(
+        &self,
+        g: &Ddg,
+        machine: &MachineSpec,
+        req: &CompileRequest,
+        obs: &Obs,
+        admit: impl FnOnce() -> P,
+    ) -> (CacheKey, Arc<StoredCompile>) {
         let key = Self::key(g, machine, req);
         let span = obs.begin("cache.lookup");
         let iterations = req.iterations;
-        let (value, grade, evicted) = self.cache.get_or_compute(
+        let (entry, grade, evicted) = self.cache.get_or_compute(
             key,
-            |payload| codec::decode(payload).ok(),
+            |payload| codec::decode(payload).ok().map(Arc::new),
             |result| codec::encode(result, iterations),
-            || compile_full_observed(g, machine, req, obs),
+            || {
+                let _admitted = admit();
+                Arc::new(compile_full_observed(g, machine, req, obs))
+            },
         );
         let outcome = match grade {
             TierGrade::Memory => {
@@ -166,7 +203,14 @@ impl CompileCache {
         obs.end_with(span, || {
             vec![("key", key.to_string()), ("outcome", outcome.to_string())]
         });
-        value
+        (key, entry)
+    }
+
+    /// The resident memory entry for `key`, counted as a memory hit;
+    /// `None` (uncounted) when the key is not resident. Never reads the
+    /// disk tier and never compiles.
+    pub(crate) fn peek(&self, key: CacheKey) -> Option<Arc<StoredCompile>> {
+        self.cache.peek(key)
     }
 
     /// In-memory hit/miss/entry counters so far.
@@ -215,6 +259,25 @@ mod tests {
             first.as_ref().as_ref().unwrap().ii(),
             second.as_ref().as_ref().unwrap().ii()
         );
+    }
+
+    #[test]
+    fn memory_entries_keep_the_encoded_payload() {
+        let cache = CompileCache::new();
+        let g = small_loop("payload");
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest {
+            iterations: 5,
+            ..CompileRequest::default()
+        };
+        assert!(cache.peek(CompileCache::key(&g, &m, &req)).is_none());
+        let (key, entry) = cache.lookup(&g, &m, &req, &Obs::disabled(), || ());
+        assert_eq!(key, CompileCache::key(&g, &m, &req));
+        assert_eq!(entry.payload, codec::encode(&entry.value, req.iterations));
+        let peeked = cache.peek(key).expect("resident");
+        assert!(Arc::ptr_eq(&peeked, &entry), "a peek shares the entry");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

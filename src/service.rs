@@ -5,12 +5,17 @@
 //! A [`CompileService`] owns:
 //!
 //! - the tiered [`CompileCache`](crate::CompileCache) for full-driver
-//!   artifacts (memory over an optional persistent directory),
+//!   artifacts (memory over an optional persistent directory), whose
+//!   memory entries keep each result's encoded payload,
 //! - two phase-2 memo tables for callers that only need IIs (the
 //!   experiment harness compiles thousands of loops but never emits a
 //!   kernel — caching the full artifact would be pure waste),
-//! - an admission gate bounding how many compiles run at once, so a
+//! - an admission gate bounding how many *compiles* run at once, so a
 //!   daemon under fan-in degrades to queueing rather than thrashing.
+//!   The gate is taken inside the caches' compute step, after the
+//!   lookup: memory hits and disk promotions never wait on it,
+//! - an alias table from the hash of a raw wire request body to the
+//!   canonical cache key it compiled to (see below).
 //!
 //! The service also defines the *wire* request/response shape shared
 //! with the `clasp-serve` daemon: a [`ServiceRequest`] carries the
@@ -21,6 +26,28 @@
 //! promoted from disk) plus the optional Chrome trace JSON. Both render
 //! to and parse from plain text, so the TCP layer in [`crate::serve`]
 //! only moves opaque frames.
+//!
+//! # The wire hit path
+//!
+//! [`CompileService::respond`] first hashes the raw frame body with
+//! [`KeyBuilder`]. When the alias table maps that hash to a canonical
+//! key whose entry is resident in the memory tier, the reply is
+//! rendered straight from the entry's stored payload: no request, loop
+//! or machine parse, no canonical key, no encode, and one allocation
+//! (the reply). The peek counts a memory hit exactly as a full lookup
+//! would, so the cache counters do not depend on which path answered.
+//!
+//! Every other request takes the full path: an unseen body, a body
+//! whose entry was evicted, a `trace 1` request (its reply carries its
+//! own trace, so it is never aliased) and a bad request. A full path
+//! that compiled without a trace records its alias afterwards. The
+//! mapping is sound because the canonical key is a pure function of
+//! the body: parsing and keying the same bytes again would give the
+//! same key. The body hash is the same 128-bit FNV-1a construction as
+//! the content key and shares its collision contract (see
+//! [`clasp_exec::cache`]). The table holds at most twice as many aliases as the
+//! memory tier holds entries (and at least two); a full path that would
+//! overflow it clears it first.
 
 use crate::cached::{CachedCompile, CompileCache};
 use crate::codec;
@@ -28,13 +55,14 @@ use crate::driver::{BackendKind, CompileRequest, RegisterModelKind};
 use crate::pipeline::{compile_loop, unified_ii, PipelineConfig};
 use clasp_core::Ordering;
 use clasp_ddg::Ddg;
-use clasp_exec::{ContentCache, KeyBuilder, TieredStats};
+use clasp_exec::{CacheKey, ContentCache, KeyBuilder, TieredStats};
 use clasp_machine::MachineSpec;
 use clasp_obs::Obs;
 use clasp_sched::{SchedulerConfig, SchedulerKind};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// First line of every wire request and reply.
 pub const PROTOCOL: &str = "clasp-serve/1";
@@ -43,8 +71,8 @@ pub const PROTOCOL: &str = "clasp-serve/1";
 #[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
     /// Maximum concurrent compiles admitted (0 = one per hardware
-    /// thread). Requests beyond the limit queue deterministically on
-    /// the gate rather than oversubscribing the machine.
+    /// thread). Compiles beyond the limit queue on the gate rather than
+    /// oversubscribing the machine; cache hits never queue.
     pub threads: usize,
     /// Byte budget for the in-memory artifact tier (`None` = unbounded).
     pub memory_budget: Option<usize>,
@@ -108,13 +136,50 @@ impl Drop for GatePermit<'_> {
     }
 }
 
+/// Raw wire-body key → canonical cache key (see the module docs).
+#[derive(Default)]
+struct Aliases(RwLock<HashMap<CacheKey, CacheKey>>);
+
+impl Aliases {
+    fn get(&self, raw: CacheKey) -> Option<CacheKey> {
+        self.0.read().expect("alias table lock").get(&raw).copied()
+    }
+
+    /// Record `raw → key` when given one, keeping the table within
+    /// twice the memory tier's `resident` entries (at least two): a
+    /// table that would overflow is cleared first.
+    fn record(&self, raw: CacheKey, key: Option<CacheKey>, resident: u64) {
+        let bound = 2 * resident.max(1) as usize;
+        let mut map = self.0.write().expect("alias table lock");
+        if map.len() + usize::from(key.is_some()) > bound {
+            map.clear();
+        }
+        if let Some(key) = key {
+            map.insert(raw, key);
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.read().expect("alias table lock").len()
+    }
+}
+
+/// The alias-table key of a raw wire body.
+fn wire_key(wire: &str) -> CacheKey {
+    let mut kb = KeyBuilder::new();
+    kb.text(wire);
+    kb.finish()
+}
+
 /// The service facade: tiered artifact cache + phase-2 II memo tables +
-/// admission gate. See the module docs.
+/// admission gate + wire alias table. See the module docs.
 pub struct CompileService {
     full: CompileCache,
     phase2: ContentCache<Option<u32>>,
     unified: ContentCache<Option<u32>>,
     gate: Gate,
+    aliases: Aliases,
 }
 
 impl fmt::Debug for CompileService {
@@ -148,6 +213,7 @@ impl CompileService {
             phase2: ContentCache::new(),
             unified: ContentCache::new(),
             gate: Gate::new(width),
+            aliases: Aliases::default(),
         })
     }
 
@@ -162,7 +228,8 @@ impl CompileService {
     }
 
     /// Full-driver compile through the tiered cache (see
-    /// [`CompileCache::compile_observed`]), gated by admission.
+    /// [`CompileCache::compile_observed`]); a compile, but no lookup,
+    /// waits for admission.
     pub fn compile_artifact(
         &self,
         g: &Ddg,
@@ -170,8 +237,10 @@ impl CompileService {
         req: &CompileRequest,
         obs: &Obs,
     ) -> CachedCompile {
-        let _permit = self.gate.acquire();
-        self.full.compile_observed(g, machine, req, obs)
+        let (_, entry) = self
+            .full
+            .lookup(g, machine, req, obs, || self.gate.acquire());
+        Arc::clone(&entry.value)
     }
 
     /// Phase-1+2 II only (no emission, no artifact): the experiment
@@ -180,8 +249,8 @@ impl CompileService {
     /// failure.
     pub fn ii_of(&self, g: &Ddg, machine: &MachineSpec, config: PipelineConfig) -> Option<u32> {
         let key = phase2_key("ii", g, machine, &format!("{config:?}"));
-        let _permit = self.gate.acquire();
         *self.phase2.get_or_compute(key, || {
+            let _permit = self.gate.acquire();
             compile_loop(g, machine, config).ok().map(|c| c.ii())
         })
     }
@@ -195,10 +264,10 @@ impl CompileService {
         sched: SchedulerConfig,
     ) -> Option<u32> {
         let key = phase2_key("unified", g, machine, &format!("{sched:?}"));
-        let _permit = self.gate.acquire();
-        *self
-            .unified
-            .get_or_compute(key, || unified_ii(g, machine, sched).ok())
+        *self.unified.get_or_compute(key, || {
+            let _permit = self.gate.acquire();
+            unified_ii(g, machine, sched).ok()
+        })
     }
 
     /// The differential-oracle pipeline routed through the service
@@ -234,36 +303,55 @@ impl CompileService {
     }
 
     /// Handle one parsed wire request end-to-end: parse the texts,
-    /// compile through the cache, render the canonical artifact payload
-    /// (and the trace, when captured).
+    /// compile through the cache, answer with the entry's stored
+    /// canonical artifact payload (and the trace, when captured).
     pub fn handle(&self, sreq: &ServiceRequest) -> ServiceReply {
+        self.handle_keyed(sreq).0
+    }
+
+    /// [`CompileService::handle`], also returning the canonical cache key
+    /// the request may be aliased to: `None` for a bad request and for a
+    /// traced one.
+    fn handle_keyed(&self, sreq: &ServiceRequest) -> (ServiceReply, Option<CacheKey>) {
         let g = match clasp_text::parse_loop(&sreq.loop_text) {
             Ok(g) => g,
-            Err(e) => return ServiceReply::bad_request(format!("loop: {e}")),
+            Err(e) => return (ServiceReply::bad_request(format!("loop: {e}")), None),
         };
         let machine = match clasp_text::parse_machine(&sreq.machine_text) {
             Ok(m) => m,
-            Err(e) => return ServiceReply::bad_request(format!("machine: {e}")),
+            Err(e) => return (ServiceReply::bad_request(format!("machine: {e}")), None),
         };
         let obs = if sreq.capture_trace {
             Obs::enabled()
         } else {
             Obs::disabled()
         };
-        let result = self.compile_artifact(&g, &machine, &sreq.request, &obs);
-        ServiceReply {
-            outcome: Ok(codec::encode(&result, sreq.request.iterations)),
+        let (key, entry) = self
+            .full
+            .lookup(&g, &machine, &sreq.request, &obs, || self.gate.acquire());
+        let reply = ServiceReply {
+            outcome: Ok(entry.payload.clone()),
             trace: sreq.capture_trace.then(|| obs.chrome_trace()),
-        }
+        };
+        (reply, (!sreq.capture_trace).then_some(key))
     }
 
-    /// Handle one raw wire request: parse, dispatch, render. Any parse
-    /// failure becomes a `bad-request` reply — the connection survives.
+    /// Handle one raw wire request: answer an aliased body whose entry
+    /// is resident straight from the stored payload, otherwise parse,
+    /// dispatch, render and record the alias (see the module docs). Any
+    /// parse failure becomes a `bad-request` reply — the connection
+    /// survives.
     pub fn respond(&self, wire: &str) -> String {
-        match ServiceRequest::parse(wire) {
-            Ok(sreq) => self.handle(&sreq).render(),
-            Err(e) => ServiceReply::bad_request(e.0).render(),
+        let raw = wire_key(wire);
+        if let Some(entry) = self.aliases.get(raw).and_then(|key| self.full.peek(key)) {
+            return render_reply(Ok(&entry.payload), None);
         }
+        let (reply, key) = match ServiceRequest::parse(wire) {
+            Ok(sreq) => self.handle_keyed(&sreq),
+            Err(e) => (ServiceReply::bad_request(e.0), None),
+        };
+        self.aliases.record(raw, key, self.full.stats().entries);
+        reply.render()
     }
 
     /// In-memory artifact-tier counters.
@@ -575,30 +663,10 @@ impl ServiceReply {
 
     /// Render the wire text (one frame body).
     pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(PROTOCOL);
-        match &self.outcome {
-            Ok(payload) => {
-                s.push_str(" reply ok\n-- artifact\n");
-                s.push_str(payload);
-                if !payload.ends_with('\n') {
-                    s.push('\n');
-                }
-            }
-            Err(message) => {
-                s.push_str(" reply bad-request\n");
-                s.push_str(message);
-                s.push('\n');
-            }
-        }
-        if let Some(trace) = &self.trace {
-            s.push_str("-- trace\n");
-            s.push_str(trace);
-            if !trace.ends_with('\n') {
-                s.push('\n');
-            }
-        }
-        s
+        render_reply(
+            self.outcome.as_deref().map_err(String::as_str),
+            self.trace.as_deref(),
+        )
     }
 
     /// Parse a wire frame body.
@@ -656,6 +724,41 @@ impl ServiceReply {
             other => Err(bad(format!("unknown reply status `{other}`"))),
         }
     }
+}
+
+/// Render one reply frame body: the one renderer behind
+/// [`ServiceReply::render`] and the alias hit path. The body is sized
+/// up front, so rendering allocates exactly once.
+fn render_reply(outcome: Result<&str, &str>, trace: Option<&str>) -> String {
+    const OK: &str = " reply ok\n-- artifact\n";
+    const BAD: &str = " reply bad-request\n";
+    const TRACE: &str = "-- trace\n";
+    let (head, body) = match outcome {
+        Ok(payload) => (OK, payload),
+        Err(message) => (BAD, message),
+    };
+    let mut s = String::with_capacity(
+        PROTOCOL.len()
+            + head.len()
+            + body.len()
+            + 1
+            + trace.map_or(0, |t| TRACE.len() + t.len() + 1),
+    );
+    s.push_str(PROTOCOL);
+    s.push_str(head);
+    s.push_str(body);
+    // A payload already ends its last line; a message never does.
+    if outcome.is_err() || !body.ends_with('\n') {
+        s.push('\n');
+    }
+    if let Some(trace) = trace {
+        s.push_str(TRACE);
+        s.push_str(trace);
+        if !trace.ends_with('\n') {
+            s.push('\n');
+        }
+    }
+    s
 }
 
 #[cfg(test)]
@@ -753,6 +856,146 @@ mod tests {
         assert!(exact.ii() <= heuristic.ii(), "exact II is a lower bound");
         // Distinct backends must occupy distinct cache entries.
         assert_eq!(service.stats().misses, 2);
+    }
+
+    /// The wire of `LOOP` with `iterations` set (each count is its own
+    /// canonical request).
+    fn wire(iterations: i64) -> String {
+        let mut sreq = ServiceRequest::new(LOOP, machine_text());
+        sreq.request.iterations = iterations;
+        sreq.render()
+    }
+
+    #[test]
+    fn an_evicted_alias_falls_back_recomputes_and_realiases() {
+        // A budget below one payload: every install evicts itself.
+        let service = CompileService::new(ServiceConfig {
+            memory_budget: Some(1),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let w = wire(8);
+        let first = service.respond(&w);
+        let raw = wire_key(&w);
+        let key = service
+            .aliases
+            .get(raw)
+            .expect("aliased after the full path");
+        assert!(service.full.peek(key).is_none(), "evicted at once");
+        for _ in 0..3 {
+            assert_eq!(service.respond(&w), first);
+            assert_eq!(service.aliases.get(raw), Some(key), "re-aliased");
+        }
+        let stats = service.tiered_stats().memory;
+        assert_eq!((stats.misses, stats.hits, stats.evictions), (4, 0, 4));
+
+        // With room for the entry, the alias then serves it.
+        let roomy = CompileService::in_memory();
+        assert_eq!(roomy.respond(&w), first);
+        assert_eq!(roomy.respond(&w), first);
+        let stats = roomy.tiered_stats().memory;
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+    }
+
+    #[test]
+    fn bad_and_traced_requests_are_never_aliased() {
+        let service = CompileService::in_memory();
+        let mut traced = ServiceRequest::new(LOOP, machine_text());
+        traced.capture_trace = true;
+        let bad = "clasp-serve/1 compile\n-- machine\nbroken !!\n-- loop\nloop x\n";
+        for w in [traced.render(), bad.to_string()] {
+            service.respond(&w);
+            service.respond(&w);
+            assert_eq!(service.aliases.get(wire_key(&w)), None, "{w}");
+        }
+        assert_eq!(service.aliases.len(), 0);
+    }
+
+    #[test]
+    fn alias_table_stays_within_twice_the_resident_entries() {
+        let service = CompileService::in_memory();
+        let mut spellings = Vec::new();
+        // Twelve spellings of one canonical request (machine names are
+        // normalized out of the key), then eight more requests.
+        for i in 0..12 {
+            let text = machine_text();
+            let (_, rest) = text.split_once('\n').unwrap();
+            let sreq = ServiceRequest::new(LOOP, format!("machine name-{i}\n{rest}"));
+            spellings.push(sreq.render());
+        }
+        spellings.extend((1..=8).map(wire));
+        for round in 0..3 {
+            for w in &spellings {
+                service.respond(w);
+                let resident = service.tiered_stats().memory.entries;
+                assert!(
+                    service.aliases.len() as u64 <= 2 * resident.max(1),
+                    "round {round}: {} aliases for {resident} entries",
+                    service.aliases.len()
+                );
+            }
+        }
+        assert_eq!(service.tiered_stats().memory.entries, 9);
+    }
+
+    #[test]
+    fn hits_are_not_admitted_only_compiles_are() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let dir = std::env::temp_dir().join(format!("clasp-service-gate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || ServiceConfig {
+            threads: 1,
+            memory_budget: None,
+            cache_dir: Some(dir.clone()),
+        };
+        // Persist `wire(4)` for the promotion case below.
+        CompileService::new(config()).unwrap().respond(&wire(4));
+        let service = CompileService::new(config()).unwrap();
+        let warm = wire(8);
+        let warm_reply = service.respond(&warm);
+
+        let released = AtomicBool::new(false);
+        let permit = service.gate.acquire();
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            let (service, warm) = (&service, &warm);
+            let hit = tx.clone();
+            s.spawn(move || hit.send(("hit", service.respond(warm))).unwrap());
+            let got = rx.recv_timeout(Duration::from_secs(30));
+            assert_eq!(got, Ok(("hit", warm_reply.clone())), "a hit waited");
+            let promote = tx.clone();
+            s.spawn(move || promote.send(("disk", service.respond(&wire(4)))).unwrap());
+            let got = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a promotion waited");
+            assert_eq!(got.0, "disk");
+
+            let released = &released;
+            s.spawn(move || {
+                let reply = service.respond(&wire(16));
+                tx.send(("cold", reply)).unwrap();
+                assert!(
+                    released.load(SeqCst),
+                    "compiled before the permit was dropped"
+                );
+            });
+            assert_eq!(
+                rx.recv_timeout(Duration::from_millis(300)),
+                Err(mpsc::RecvTimeoutError::Timeout),
+                "a compile ran without a permit"
+            );
+            released.store(true, SeqCst);
+            drop(permit);
+            let got = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("compile admitted");
+            assert_eq!(got.0, "cold");
+        });
+        let t = service.tiered_stats();
+        assert_eq!((t.memory.hits, t.memory.misses, t.promotions), (1, 3, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

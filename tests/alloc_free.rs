@@ -1,12 +1,14 @@
 //! Pins the streaming cache-key claim from `src/cached.rs`: a warm
 //! compile-cache lookup — key three canonical texts straight into the
 //! hasher, hit the memory tier, clone the `Arc` — touches the allocator
-//! zero times.
+//! zero times. It also pins the wire hit path from `src/service.rs`: a
+//! warm, aliased `CompileService::respond` allocates once, for the
+//! reply it returns.
 //!
 //! A counting global allocator wraps the system one; this file contains
 //! a single test so no concurrent test can perturb the counter.
 
-use clasp::{CompileCache, CompileRequest};
+use clasp::{CompileCache, CompileRequest, CompileService, ServiceRequest};
 use clasp_ddg::{Ddg, OpKind};
 use clasp_machine::presets;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -73,4 +75,28 @@ fn warm_cache_lookups_do_not_allocate() {
     let stats = cache.stats();
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.hits, 101);
+
+    // The wire: the first request compiles and records the alias, the
+    // second is the first aliased hit.
+    let service = CompileService::in_memory();
+    let wire = ServiceRequest::new(
+        clasp_text::write_loop(&g),
+        clasp_text::write_machine(&machine),
+    )
+    .render();
+    let cold = service.respond(&wire);
+    assert_eq!(service.respond(&wire), cold);
+
+    let before = allocs();
+    for _ in 0..100 {
+        let reply = service.respond(&wire);
+        std::hint::black_box(&reply);
+    }
+    assert_eq!(
+        allocs() - before,
+        100,
+        "an aliased hit allocates its reply and nothing else"
+    );
+    let stats = service.tiered_stats().memory;
+    assert_eq!((stats.misses, stats.hits), (1, 101));
 }
