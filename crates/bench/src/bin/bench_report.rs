@@ -282,7 +282,7 @@ fn main() {
                 .count()
         }),
     );
-    let cache_stats = warm.stats();
+    let cache_stats = warm.tiered_stats().memory;
 
     // Fuzz stage: the differential oracle (compile + all invariant
     // checks + dual-model simulation per case) over a bounded slice of

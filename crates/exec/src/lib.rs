@@ -24,10 +24,10 @@
 //! keyed by an FNV-1a hash of canonical input texts, with deterministic
 //! hit/miss counters (exactly one miss per distinct key, no matter how
 //! many threads race to it). Grid sweeps that revisit the same
-//! loop × machine pair compile it once. The [`tier`] module layers a
-//! persistent [`DiskTier`] below it (memory-over-disk via
-//! [`TieredCache`]) so warm answers survive a process restart, and the
-//! cache itself can be byte-budget bounded for long-running daemons.
+//! loop × machine pair compile it once, and the cache can be byte-budget
+//! bounded for long-running daemons. The [`tier`] module's [`DiskTier`]
+//! persists encoded payloads under the same keys so warm answers survive
+//! a process restart; the caller consults it on a memory miss.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,6 +41,4 @@ pub use executor::{
     resolve_threads, sweep, sweep_observed, sweep_with, sweep_with_observed, try_sweep,
     try_sweep_observed, SweepPanic,
 };
-pub use tier::{
-    CacheTier, DiskTier, Encoded, TierGrade, TierLoad, TierStats, TieredCache, TieredStats,
-};
+pub use tier::{DiskTier, TierLoad, TierStats, TieredStats};

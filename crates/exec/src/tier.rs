@@ -1,11 +1,15 @@
-//! Cache tiering: a persistence contract behind [`ContentCache`].
+//! The persistent cache tier: encoded payloads on disk, keyed by the
+//! same 128-bit content hash as the in-memory [`ContentCache`].
 //!
-//! The in-memory [`ContentCache`] answers warm lookups in microseconds
-//! but dies with the process. A [`CacheTier`] is the slower layer
-//! consulted on a memory miss: [`DiskTier`] persists encoded payloads
-//! in shard-per-prefix directories keyed by the same 128-bit content
-//! hash, and [`TieredCache`] composes memory-over-disk with exact
-//! hit/miss/promote accounting.
+//! The memory tier answers warm lookups in microseconds but dies with
+//! the process. [`DiskTier`] is the slower layer a caller consults on a
+//! memory miss, so warm answers survive a restart. It stores opaque
+//! UTF-8 payloads; what they encode, and how a loaded payload is
+//! promoted into memory, is the caller's business (the root crate's
+//! compile service owns both tiers). [`TieredStats`] is the counter
+//! snapshot such a caller reports.
+//!
+//! [`ContentCache`]: crate::ContentCache
 //!
 //! # Shard layout and header
 //!
@@ -19,9 +23,9 @@
 //! ```
 //!
 //! followed by exactly `<payload-bytes>` bytes of UTF-8 payload. The
-//! *format tag* is supplied by the composing layer and names the
-//! payload encoding (the compile service uses the artifact codec's
-//! version string); a tag mismatch is a plain **miss** — an old cache
+//! *format tag* is supplied by the caller and names the payload
+//! encoding (the compile service uses the artifact codec's version
+//! string); a tag mismatch is a plain **miss** — an old cache
 //! directory is stale, not corrupt — while a malformed header, a length
 //! mismatch (truncation), or invalid UTF-8 is a **disk error**: the
 //! lookup degrades to a miss and the error counter ticks, but nothing
@@ -33,21 +37,21 @@
 //! process id) and are renamed into place. Readers therefore only ever
 //! observe absent files or complete files, and two processes sharing a
 //! cache directory race benignly: the loser's rename replaces the
-//! winner's identical content.
+//! winner's identical content. A write or rename that fails removes
+//! its tempfile, so failed stores leave nothing behind.
 
-use crate::cache::{CacheKey, CacheStats, ContentCache};
+use crate::cache::{CacheKey, CacheStats};
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Magic prefix of every shard file header; the `/1` is the layout
 /// version of the header itself, independent of the payload format tag.
 const HEADER_MAGIC: &str = "clasp-cache/1";
 
-/// Outcome of a [`CacheTier::load`].
+/// Outcome of a [`DiskTier::load`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TierLoad {
     /// The tier held a complete, well-formed payload.
@@ -61,7 +65,7 @@ pub enum TierLoad {
     Error,
 }
 
-/// Counters of one persistent tier, sampled by [`CacheTier::stats`].
+/// Counters of one persistent tier, sampled by [`DiskTier::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Loads that produced a payload.
@@ -74,24 +78,10 @@ pub struct TierStats {
     pub stores: u64,
 }
 
-/// A persistence layer consulted below the in-memory tier: loads and
-/// stores opaque UTF-8 payloads by content key. Implementations must be
-/// safe to share across threads and must never panic on malformed
-/// stored data — corruption degrades to [`TierLoad::Error`].
-pub trait CacheTier: Send + Sync {
-    /// Fetch the payload stored for `key`, if any.
-    fn load(&self, key: CacheKey) -> TierLoad;
-    /// Persist `payload` for `key`. Failures are recorded in the
-    /// tier's error counter, not returned: the memory tier already
-    /// holds the value, so a failed store only costs a future recompute.
-    fn store(&self, key: CacheKey, payload: &str);
-    /// Sample the tier's counters.
-    fn stats(&self) -> TierStats;
-}
-
-/// The on-disk [`CacheTier`]: shard-per-prefix directories under a
-/// root, atomic write-then-rename, versioned header. See the module
-/// docs for the layout.
+/// The on-disk tier: shard-per-prefix directories under a root, atomic
+/// write-then-rename, versioned header. See the module docs for the
+/// layout. Safe to share across threads; malformed stored data never
+/// panics — it degrades to [`TierLoad::Error`].
 pub struct DiskTier {
     root: PathBuf,
     format_tag: String,
@@ -172,10 +162,9 @@ impl DiskTier {
         let payload = std::str::from_utf8(payload).map_err(|_| ())?;
         Ok(Some(payload.to_string()))
     }
-}
 
-impl CacheTier for DiskTier {
-    fn load(&self, key: CacheKey) -> TierLoad {
+    /// Fetch the payload stored for `key`, if any.
+    pub fn load(&self, key: CacheKey) -> TierLoad {
         let path = self.entry_path(key);
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
@@ -204,39 +193,44 @@ impl CacheTier for DiskTier {
         }
     }
 
-    fn store(&self, key: CacheKey, payload: &str) {
+    /// Persist `payload` for `key`. Failures are recorded in the error
+    /// counter, not returned: the caller's memory tier already holds the
+    /// value, so a failed store only costs a future recompute.
+    pub fn store(&self, key: CacheKey, payload: &str) {
+        let dir = self.shard_dir(key);
+        // Salted with pid + a process-wide counter so two threads (or two
+        // processes) storing the same key never share a tempfile.
+        static TMP_SALT: AtomicU64 = AtomicU64::new(0);
+        let tmp_path = dir.join(format!(
+            ".{key}.{}.{}.tmp",
+            std::process::id(),
+            TMP_SALT.fetch_add(1, Ordering::Relaxed)
+        ));
         let result = (|| -> std::io::Result<()> {
-            let dir = self.shard_dir(key);
             fs::create_dir_all(&dir)?;
-            let final_path = dir.join(key.to_string());
-            // Salted with pid + a process-wide counter so two threads
-            // (or two processes) storing the same key never share a
-            // tempfile.
-            static TMP_SALT: AtomicU64 = AtomicU64::new(0);
-            let tmp_path = dir.join(format!(
-                ".{key}.{}.{}.tmp",
-                std::process::id(),
-                TMP_SALT.fetch_add(1, Ordering::Relaxed)
-            ));
             {
                 let mut f = fs::File::create(&tmp_path)?;
                 writeln!(f, "{HEADER_MAGIC} {} {}", self.format_tag, payload.len())?;
                 f.write_all(payload.as_bytes())?;
                 f.sync_all()?;
             }
-            fs::rename(&tmp_path, &final_path)
+            fs::rename(&tmp_path, dir.join(key.to_string()))
         })();
         match result {
             Ok(()) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
+                // The tempfile may or may not exist by now; either way
+                // nothing of this store may stay behind.
+                let _ = fs::remove_file(&tmp_path);
                 self.errors.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    fn stats(&self) -> TierStats {
+    /// Sample the tier's counters.
+    pub fn stats(&self) -> TierStats {
         TierStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -246,28 +240,9 @@ impl CacheTier for DiskTier {
     }
 }
 
-/// How one [`TieredCache`] lookup was served — the hook callers use to
-/// tick the matching observability counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierGrade {
-    /// Served from the in-memory tier.
-    Memory,
-    /// Served by decoding a persisted payload, which was promoted into
-    /// the memory tier.
-    Disk,
-    /// Computed fresh. `disk_error` reports whether the persistent tier
-    /// failed (corruption/IO) on the way — distinguishing "cold" from
-    /// "degraded".
-    Computed {
-        /// The persistent tier returned [`TierLoad::Error`] or the
-        /// payload failed to decode.
-        disk_error: bool,
-    },
-}
-
-/// Counters of a [`TieredCache`]: the memory tier's stats, the
-/// persistent tier's stats (zero when no tier is attached), and the
-/// number of disk-to-memory promotions.
+/// Counters of a memory tier over an optional [`DiskTier`]: the memory
+/// tier's stats, the persistent tier's stats (zero when no tier is
+/// attached), and the number of disk-to-memory promotions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TieredStats {
     /// In-memory tier counters.
@@ -276,131 +251,6 @@ pub struct TieredStats {
     pub disk: TierStats,
     /// Disk hits decoded and installed into the memory tier.
     pub promotions: u64,
-}
-
-/// One memory-tier entry of a [`TieredCache`]: the value and its
-/// encoded payload, kept side by side so a caller that answers with the
-/// payload (the compile daemon's wire reply) never encodes on a hit.
-#[derive(Debug)]
-pub struct Encoded<V> {
-    /// The computed or decoded value.
-    pub value: V,
-    /// The value's encoding: the bytes persisted to the disk tier and
-    /// charged to the memory tier's byte budget.
-    pub payload: String,
-}
-
-/// Memory-over-disk composition: an in-memory [`ContentCache`] backed
-/// by an optional persistent [`CacheTier`]. Lookups check memory first;
-/// on a memory miss the persistent tier is consulted, a decodable
-/// payload is *promoted* into memory, and only then does the compute
-/// run (encoding and storing its result through for the next process).
-/// Every memory entry holds the value's [`Encoded`] payload too.
-pub struct TieredCache<V> {
-    memory: ContentCache<Encoded<V>>,
-    disk: Option<Arc<dyn CacheTier>>,
-    promotions: AtomicU64,
-}
-
-impl<V> fmt::Debug for TieredCache<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TieredCache")
-            .field("stats", &self.stats())
-            .field("has_disk", &self.disk.is_some())
-            .finish()
-    }
-}
-
-impl<V> TieredCache<V> {
-    /// A memory-only tiered cache (no persistence).
-    pub fn memory_only(memory: ContentCache<Encoded<V>>) -> TieredCache<V> {
-        TieredCache {
-            memory,
-            disk: None,
-            promotions: AtomicU64::new(0),
-        }
-    }
-
-    /// Memory over a persistent tier.
-    pub fn over(memory: ContentCache<Encoded<V>>, disk: Arc<dyn CacheTier>) -> TieredCache<V> {
-        TieredCache {
-            memory,
-            disk: Some(disk),
-            promotions: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether a persistent tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
-    /// Look up `key`, trying memory, then the persistent tier (via
-    /// `decode`), then `compute` (whose result is persisted via
-    /// `encode`). Returns the entry, how the lookup was served, and how
-    /// many memory entries this call's installation evicted.
-    ///
-    /// The entry's payload is always `encode` of its value: a promoted
-    /// value is re-encoded rather than trusting the stored bytes, so a
-    /// payload that decodes but is not in canonical form never reaches
-    /// a caller. The payload's byte length is charged to the memory
-    /// tier's byte budget as the entry's weight.
-    pub fn get_or_compute(
-        &self,
-        key: CacheKey,
-        decode: impl FnOnce(&str) -> Option<V>,
-        encode: impl FnOnce(&V) -> String,
-        compute: impl FnOnce() -> V,
-    ) -> (Arc<Encoded<V>>, TierGrade, u64) {
-        let mut grade = TierGrade::Memory;
-        let (entry, _missed, evicted) = self.memory.get_or_compute_weighed(key, || {
-            let mut disk_error = false;
-            if let Some(disk) = &self.disk {
-                match disk.load(key) {
-                    TierLoad::Hit(stored) => match decode(&stored) {
-                        Some(value) => {
-                            self.promotions.fetch_add(1, Ordering::Relaxed);
-                            grade = TierGrade::Disk;
-                            let payload = encode(&value);
-                            let weight = payload.len();
-                            return (Encoded { value, payload }, weight);
-                        }
-                        // A payload that parses its header but not its
-                        // body is corruption the header check couldn't
-                        // see; degrade to a recompute.
-                        None => disk_error = true,
-                    },
-                    TierLoad::Miss => {}
-                    TierLoad::Error => disk_error = true,
-                }
-            }
-            grade = TierGrade::Computed { disk_error };
-            let value = compute();
-            let payload = encode(&value);
-            if let Some(disk) = &self.disk {
-                disk.store(key, &payload);
-            }
-            let weight = payload.len();
-            (Encoded { value, payload }, weight)
-        });
-        (entry, grade, evicted)
-    }
-
-    /// The memory-tier entry for `key` if it is resident, counted as a
-    /// memory hit; never consults the persistent tier and never
-    /// computes (see [`ContentCache::peek`]).
-    pub fn peek(&self, key: CacheKey) -> Option<Arc<Encoded<V>>> {
-        self.memory.peek(key)
-    }
-
-    /// Sample all counters.
-    pub fn stats(&self) -> TieredStats {
-        TieredStats {
-            memory: self.memory.stats(),
-            disk: self.disk.as_ref().map(|d| d.stats()).unwrap_or_default(),
-            promotions: self.promotions.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -465,83 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn tiered_promotes_from_disk_then_serves_memory() {
-        let root = tmpdir("promote");
-        let disk: Arc<dyn CacheTier> = Arc::new(DiskTier::open(&root, "t1").unwrap());
-        let key = CacheKey::of(&["x"]);
-
-        // First process: computes and persists.
-        let first: TieredCache<u64> = TieredCache::over(ContentCache::new(), Arc::clone(&disk));
-        let (v, grade, _) = first.get_or_compute(key, |s| s.parse().ok(), |v| v.to_string(), || 42);
-        assert_eq!((v.value, v.payload.as_str()), (42, "42"));
-        assert_eq!(grade, TierGrade::Computed { disk_error: false });
-
-        // "Restart": fresh memory, same directory — disk hit, promoted.
-        let second: TieredCache<u64> = TieredCache::over(
-            ContentCache::new(),
-            Arc::new(DiskTier::open(&root, "t1").unwrap()),
-        );
-        let (v, grade, _) = second.get_or_compute(
-            key,
-            |s| s.parse().ok(),
-            |v| v.to_string(),
-            || unreachable!("must be served from disk"),
-        );
-        assert_eq!((v.value, v.payload.as_str()), (42, "42"));
-        assert_eq!(grade, TierGrade::Disk);
-        assert_eq!(second.stats().promotions, 1);
-
-        // Third lookup in the same process: pure memory.
-        let (_, grade, _) = second.get_or_compute(
-            key,
-            |s| s.parse().ok(),
-            |v| v.to_string(),
-            || unreachable!(),
-        );
-        assert_eq!(grade, TierGrade::Memory);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn promotion_re_encodes_and_peek_serves_only_memory() {
-        let root = tmpdir("reencode");
-        let disk = Arc::new(DiskTier::open(&root, "t1").unwrap());
-        let key = CacheKey::of(&["x"]);
-        // Decodable but not canonical: the entry must carry `encode`'s
-        // rendering, not the stored bytes.
-        disk.store(key, "042");
-        let cache: TieredCache<u64> =
-            TieredCache::over(ContentCache::new(), Arc::clone(&disk) as Arc<dyn CacheTier>);
-        assert!(cache.peek(key).is_none(), "peek never reads the disk tier");
-        let (v, grade, _) = cache.get_or_compute(
-            key,
-            |s| s.parse().ok(),
-            |v| v.to_string(),
-            || unreachable!(),
-        );
-        assert_eq!(grade, TierGrade::Disk);
-        assert_eq!((v.value, v.payload.as_str()), (42, "42"));
-        let peeked = cache.peek(key).expect("promoted into memory");
-        assert!(Arc::ptr_eq(&peeked, &v));
-        let stats = cache.stats();
-        assert_eq!((stats.memory.hits, stats.memory.misses), (1, 1));
-        assert_eq!((stats.disk.hits, stats.promotions), (1, 1));
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn undecodable_payload_recomputes_with_disk_error() {
-        let root = tmpdir("undecodable");
-        let disk = Arc::new(DiskTier::open(&root, "t1").unwrap());
-        let key = CacheKey::of(&["x"]);
-        disk.store(key, "not a number");
-        let cache: TieredCache<u64> =
-            TieredCache::over(ContentCache::new(), Arc::clone(&disk) as Arc<dyn CacheTier>);
-        let (v, grade, _) = cache.get_or_compute(key, |s| s.parse().ok(), |v| v.to_string(), || 7);
-        assert_eq!(v.value, 7);
-        assert_eq!(grade, TierGrade::Computed { disk_error: true });
-        // The recompute stored a good payload over the bad one.
-        assert_eq!(disk.load(key), TierLoad::Hit("7".to_string()));
+    fn a_failed_store_counts_one_error_and_leaves_no_tempfile() {
+        let root = tmpdir("squat");
+        let tier = DiskTier::open(&root, "t1").unwrap();
+        let key = CacheKey::of(&["case"]);
+        // A directory squatting on the entry path makes the rename fail
+        // after the tempfile was written.
+        let shard = root.join(format!("{:02x}", (key.value() >> 120) as u8));
+        fs::create_dir_all(shard.join(key.to_string())).unwrap();
+        tier.store(key, "payload");
+        let stats = tier.stats();
+        assert_eq!((stats.errors, stats.stores), (1, 0));
+        let names: Vec<String> = fs::read_dir(&shard)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [key.to_string()], "only the squatter remains");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -31,7 +31,7 @@ fn hot_mix_is_all_cache_hits_after_prewarm() {
         Ok(move |wire: &str| classify_reply(&service.respond(wire)))
     };
     clasp_load::prewarm(&sched.hot_wires, factory).expect("prewarm");
-    let misses_after_warm = service.stats().misses;
+    let misses_after_warm = service.tiered_stats().memory.misses;
 
     let report = run_cell(
         &sched.requests,
@@ -47,8 +47,8 @@ fn hot_mix_is_all_cache_hits_after_prewarm() {
     assert_eq!(report.overall.total(), 40);
     // Every hot request after the warm-up pass is a cache hit: the
     // service compiled nothing new.
-    assert_eq!(service.stats().misses, misses_after_warm);
-    assert!(service.stats().hits >= 40);
+    assert_eq!(service.tiered_stats().memory.misses, misses_after_warm);
+    assert!(service.tiered_stats().memory.hits >= 40);
 }
 
 #[test]
@@ -71,6 +71,6 @@ fn cold_mix_compiles_every_request_exactly_once() {
     assert_eq!(report.errors, 0);
     assert_eq!(report.by_class[ReqClass::Cold.index()].total(), 30);
     // Thirty unique loops: thirty cache misses, zero hits.
-    assert_eq!(service.stats().misses, 30);
-    assert_eq!(service.stats().hits, 0);
+    assert_eq!(service.tiered_stats().memory.misses, 30);
+    assert_eq!(service.tiered_stats().memory.hits, 0);
 }

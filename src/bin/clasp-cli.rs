@@ -881,7 +881,7 @@ fn batch(args: &[String]) -> Result<bool, String> {
                 machines.len(),
                 pairs.len(),
                 failed,
-                service.stats()
+                service.tiered_stats().memory
             );
             // Every counter depends only on work done, never on worker
             // interleaving, so this block is part of the bit-identical

@@ -25,6 +25,8 @@
 //! | [`loopgen`] | the synthetic loop corpus and Livermore kernels |
 //! | [`kernel`] | lifetimes, MVE, kernel emission, functional simulation |
 //! | [`obs`] | spans, deterministic counters, Chrome trace output |
+//! | [`exact`] | the exact (SAT) modulo-scheduling backend |
+//! | [`oracle`] | the differential oracle and fuzzer |
 //!
 //! # Quickstart
 //!
@@ -54,7 +56,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cached;
 pub mod codec;
 mod driver;
 pub mod load;
@@ -63,7 +64,6 @@ pub mod serve;
 pub mod service;
 pub mod strata;
 
-pub use cached::{CachedCompile, CompileCache};
 pub use codec::{CodecError, ARTIFACT_FORMAT};
 pub use driver::{
     compile_full, compile_full_observed, oracle_pipeline, BackendKind, CompileReport,
@@ -73,7 +73,10 @@ pub use pipeline::{
     compare_with_unified, compile_loop, compile_loop_post, unified_ii, CompiledLoop,
     PipelineConfig, PipelineError,
 };
-pub use service::{CompileService, ServiceConfig, ServiceError, ServiceReply, ServiceRequest};
+pub use service::{
+    CachedCompile, CompileCache, CompileService, ServiceConfig, ServiceError, ServiceReply,
+    ServiceRequest,
+};
 
 pub use clasp_core as core;
 pub use clasp_ddg as ddg;

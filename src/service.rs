@@ -4,12 +4,13 @@
 //!
 //! A [`CompileService`] owns:
 //!
-//! - the tiered [`CompileCache`](crate::CompileCache) for full-driver
-//!   artifacts (memory over an optional persistent directory), whose
-//!   memory entries keep each result's encoded payload,
-//! - two phase-2 memo tables for callers that only need IIs (the
-//!   experiment harness compiles thousands of loops but never emits a
-//!   kernel — caching the full artifact would be pure waste),
+//! - the artifact cache for full-driver results: a memory tier (a
+//!   [`ContentCache`], optionally byte-budgeted) over an optional
+//!   persistent [`DiskTier`], plus the count of disk-to-memory
+//!   promotions (see below),
+//! - one II memo table for callers that only need IIs (the experiment
+//!   harness compiles thousands of loops but never emits a kernel —
+//!   caching the full artifact would be pure waste),
 //! - an admission gate bounding how many *compiles* run at once, so a
 //!   daemon under fan-in degrades to queueing rather than thrashing.
 //!   The gate is taken inside the caches' compute step, after the
@@ -26,6 +27,56 @@
 //! promoted from disk) plus the optional Chrome trace JSON. Both render
 //! to and parse from plain text, so the TCP layer in [`crate::serve`]
 //! only moves opaque frames.
+//!
+//! # The content key
+//!
+//! [`CompileService::key`] is a 128-bit FNV-1a hash-of-hashes over three
+//! canonical texts — [`clasp_text::write_loop`] of the graph, the
+//! machine description with its display name normalized out, and the
+//! `Debug` rendering of the [`CompileRequest`]. All three are *streamed*
+//! into the hasher ([`KeyBuilder`]): a warm lookup allocates nothing,
+//! which `tests/alloc_free.rs` pins. Two requests collide exactly when
+//! nothing the pipeline can observe differs:
+//!
+//! - the loop text round-trips everything the pipeline reads (ops,
+//!   kinds, dependences, distances), so two graphs with the same text
+//!   compile identically — display labels are canonicalized by the
+//!   rendering and may be served from whichever caller compiled first;
+//! - the machine name is presentation only (no stage reads it), so
+//!   `4c-gp-4b-2p`'s unified equivalent and an identically shaped
+//!   `unified` preset share one entry;
+//! - `CompileRequest` is `Copy + Debug` with no interior state, so its
+//!   `Debug` text is a faithful rendering of every knob.
+//!
+//! The key also names the persisted file of an entry, so changing its
+//! derivation orphans every existing cache directory; a test pins it.
+//!
+//! # Tiers and the stored payload
+//!
+//! One lookup serves every artifact request: the memory tier first,
+//! then the disk tier, then an admitted compile. Results (including
+//! failures) are memoized behind `Arc`, and hit/miss counters are
+//! deterministic even under thread contention — see
+//! [`clasp_exec::cache`] for the contention contract.
+//!
+//! Every memory entry keeps the [`crate::codec`] payload of its result
+//! next to the result itself. The payload is encoded once, when the
+//! entry is installed: it weighs the entry against the memory byte
+//! budget, it is what the disk tier persists, and it is the artifact
+//! body of every wire reply for the key, so a hit never re-encodes. The
+//! key includes the request's iteration count, the one request knob the
+//! encoding reads, so one key has exactly one payload. A payload loaded
+//! from disk is decoded and *promoted* into memory, re-encoded so the
+//! entry's payload is canonical; one that does not decode is a disk
+//! error and the lookup recomputes.
+//!
+//! Each lookup records a `cache.lookup` span (args `key` and `outcome`:
+//! `hit`, `disk` or `miss`; its duration includes the compile on a cold
+//! key) and ticks [`Counter::CacheHits`], [`Counter::CacheMisses`],
+//! [`Counter::CacheDiskHits`], [`Counter::CacheDiskErrors`],
+//! [`Counter::CachePromotions`] and [`Counter::CacheEvictions`]. Because
+//! a key computes exactly once, the folded pipeline counters stay
+//! deterministic across thread counts.
 //!
 //! # The wire hit path
 //!
@@ -45,23 +96,25 @@
 //! the body: parsing and keying the same bytes again would give the
 //! same key. The body hash is the same 128-bit FNV-1a construction as
 //! the content key and shares its collision contract (see
-//! [`clasp_exec::cache`]). The table holds at most twice as many aliases as the
-//! memory tier holds entries (and at least two); a full path that would
-//! overflow it clears it first.
+//! [`clasp_exec::cache`]). The table holds at most twice as many
+//! aliases as the memory tier holds entries (and at least two); a full
+//! path that would overflow it clears it first.
 
-use crate::cached::{CachedCompile, CompileCache};
 use crate::codec;
-use crate::driver::{BackendKind, CompileRequest, RegisterModelKind};
-use crate::pipeline::{compile_loop, unified_ii, PipelineConfig};
+use crate::driver::{
+    compile_full_observed, BackendKind, CompileRequest, CompiledArtifact, RegisterModelKind,
+};
+use crate::pipeline::{compile_loop, unified_ii, PipelineConfig, PipelineError};
 use clasp_core::Ordering;
 use clasp_ddg::Ddg;
-use clasp_exec::{CacheKey, ContentCache, KeyBuilder, TieredStats};
+use clasp_exec::{CacheKey, ContentCache, DiskTier, KeyBuilder, TierLoad, TieredStats};
 use clasp_machine::MachineSpec;
-use clasp_obs::Obs;
+use clasp_obs::{Counter, Obs};
 use clasp_sched::{SchedulerConfig, SchedulerKind};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::atomic::{self, AtomicU64};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// First line of every wire request and reply.
@@ -172,12 +225,37 @@ fn wire_key(wire: &str) -> CacheKey {
     kb.finish()
 }
 
-/// The service facade: tiered artifact cache + phase-2 II memo tables +
+/// A memoized result: the artifact or the pipeline's refusal.
+pub type CachedCompile = Arc<Result<CompiledArtifact, PipelineError>>;
+
+/// The old name of [`CompileService`], kept only because the benchmark
+/// calls `CompileCache::key`; it goes with the next benchmark change.
+pub type CompileCache = CompileService;
+
+/// A memory-tier entry: the memoized result and its codec payload (see
+/// the module docs).
+struct Stored {
+    value: CachedCompile,
+    payload: String,
+}
+
+impl Stored {
+    /// The entry for `value` and its weight against the memory budget:
+    /// the byte length of its canonical payload.
+    fn weighed(value: CachedCompile, iterations: i64) -> (Stored, usize) {
+        let payload = codec::encode(&value, iterations);
+        let weight = payload.len();
+        (Stored { value, payload }, weight)
+    }
+}
+
+/// The service facade: tiered artifact cache + II memo table +
 /// admission gate + wire alias table. See the module docs.
 pub struct CompileService {
-    full: CompileCache,
-    phase2: ContentCache<Option<u32>>,
-    unified: ContentCache<Option<u32>>,
+    memory: ContentCache<Stored>,
+    disk: Option<DiskTier>,
+    promotions: AtomicU64,
+    iis: ContentCache<Option<u32>>,
     gate: Gate,
     aliases: Aliases,
 }
@@ -193,14 +271,16 @@ impl fmt::Debug for CompileService {
 
 impl CompileService {
     /// Build a service from `config`, opening (or creating) the
-    /// persistent tier when a directory is configured.
+    /// persistent tier when a directory is configured. The tier is
+    /// tagged with the [`crate::ARTIFACT_FORMAT`] version, so stale
+    /// payloads from an older codec read as misses, never as corruption.
     ///
     /// # Errors
     ///
     /// An [`std::io::Error`] if the cache directory cannot be created.
     pub fn new(config: ServiceConfig) -> std::io::Result<CompileService> {
         let disk = match &config.cache_dir {
-            Some(dir) => Some(CompileCache::open_disk_tier(dir)?),
+            Some(dir) => Some(DiskTier::open(dir, codec::ARTIFACT_FORMAT)?),
             None => None,
         };
         let width = if config.threads == 0 {
@@ -209,9 +289,10 @@ impl CompileService {
             config.threads
         };
         Ok(CompileService {
-            full: CompileCache::with_limits(config.memory_budget, disk),
-            phase2: ContentCache::new(),
-            unified: ContentCache::new(),
+            memory: ContentCache::with_budget(config.memory_budget),
+            disk,
+            promotions: AtomicU64::new(0),
+            iis: ContentCache::new(),
             gate: Gate::new(width),
             aliases: Aliases::default(),
         })
@@ -224,12 +305,36 @@ impl CompileService {
 
     /// Whether a persistent tier is attached.
     pub fn has_disk(&self) -> bool {
-        self.full.has_disk()
+        self.disk.is_some()
     }
 
-    /// Full-driver compile through the tiered cache (see
-    /// [`CompileCache::compile_observed`]); a compile, but no lookup,
-    /// waits for admission.
+    /// The canonical content key for one compile. Streams every
+    /// canonical text straight into the hasher — no intermediate
+    /// strings. See the module docs for the collision contract.
+    pub fn key(g: &Ddg, machine: &MachineSpec, req: &CompileRequest) -> CacheKey {
+        let mut kb = KeyBuilder::new();
+        kb.stream(|s| {
+            let _ = clasp_text::write_loop_into(g, s);
+        });
+        // The display name is presentation only: normalize it out so
+        // identically shaped machines share an entry.
+        kb.stream(|s| {
+            let _ = clasp_text::write_machine_named_into(machine, "#", s);
+        });
+        kb.stream(|s| {
+            use std::fmt::Write as _;
+            let _ = write!(s, "{req:?}");
+        });
+        kb.finish()
+    }
+
+    /// Full-driver compile through the tiered cache: the first request
+    /// for a key runs [`compile_full`](crate::compile_full) (a miss),
+    /// every later request shares its result (a hit), and concurrent
+    /// requests for a cold key block on the one in-flight compile. A
+    /// compile, but no lookup, waits for admission. `obs` records the
+    /// `cache.lookup` span and counters (see the module docs) and, on a
+    /// miss, the compile's own.
     pub fn compile_artifact(
         &self,
         g: &Ddg,
@@ -237,10 +342,72 @@ impl CompileService {
         req: &CompileRequest,
         obs: &Obs,
     ) -> CachedCompile {
-        let (_, entry) = self
-            .full
-            .lookup(g, machine, req, obs, || self.gate.acquire());
-        Arc::clone(&entry.value)
+        Arc::clone(&self.lookup(g, machine, req, obs).1.value)
+    }
+
+    /// The one artifact lookup: memory, then disk (a *promotion*,
+    /// re-encoded so the entry's payload is canonical), then an admitted
+    /// compile whose payload is persisted. Returns the key and the
+    /// memory entry.
+    fn lookup(
+        &self,
+        g: &Ddg,
+        machine: &MachineSpec,
+        req: &CompileRequest,
+        obs: &Obs,
+    ) -> (CacheKey, Arc<Stored>) {
+        let key = Self::key(g, machine, req);
+        let span = obs.begin("cache.lookup");
+        let mut outcome = "hit";
+        let mut disk_error = false;
+        let (entry, _, evicted) = self.memory.get_or_compute_weighed(key, || {
+            if let Some(disk) = &self.disk {
+                match disk.load(key) {
+                    TierLoad::Hit(stored) => match codec::decode(&stored) {
+                        Ok(result) => {
+                            outcome = "disk";
+                            self.promotions.fetch_add(1, atomic::Ordering::Relaxed);
+                            return Stored::weighed(Arc::new(result), req.iterations);
+                        }
+                        // A payload that passed the tier's header check
+                        // but not the codec is corruption: recompute.
+                        Err(_) => disk_error = true,
+                    },
+                    TierLoad::Miss => {}
+                    TierLoad::Error => disk_error = true,
+                }
+            }
+            outcome = "miss";
+            let value = {
+                let _admitted = self.gate.acquire();
+                Arc::new(compile_full_observed(g, machine, req, obs))
+            };
+            let (stored, weight) = Stored::weighed(value, req.iterations);
+            if let Some(disk) = &self.disk {
+                disk.store(key, &stored.payload);
+            }
+            (stored, weight)
+        });
+        match outcome {
+            "hit" => obs.add(Counter::CacheHits, 1),
+            "disk" => {
+                obs.add(Counter::CacheDiskHits, 1);
+                obs.add(Counter::CachePromotions, 1);
+            }
+            _ => {
+                obs.add(Counter::CacheMisses, 1);
+                if disk_error {
+                    obs.add(Counter::CacheDiskErrors, 1);
+                }
+            }
+        }
+        if evicted > 0 {
+            obs.add(Counter::CacheEvictions, evicted);
+        }
+        obs.end_with(span, || {
+            vec![("key", key.to_string()), ("outcome", outcome.to_string())]
+        });
+        (key, entry)
     }
 
     /// Phase-1+2 II only (no emission, no artifact): the experiment
@@ -249,7 +416,7 @@ impl CompileService {
     /// failure.
     pub fn ii_of(&self, g: &Ddg, machine: &MachineSpec, config: PipelineConfig) -> Option<u32> {
         let key = phase2_key("ii", g, machine, &format!("{config:?}"));
-        *self.phase2.get_or_compute(key, || {
+        *self.iis.get_or_compute(key, || {
             let _permit = self.gate.acquire();
             compile_loop(g, machine, config).ok().map(|c| c.ii())
         })
@@ -264,7 +431,7 @@ impl CompileService {
         sched: SchedulerConfig,
     ) -> Option<u32> {
         let key = phase2_key("unified", g, machine, &format!("{sched:?}"));
-        *self.unified.get_or_compute(key, || {
+        *self.iis.get_or_compute(key, || {
             let _permit = self.gate.acquire();
             unified_ii(g, machine, sched).ok()
         })
@@ -326,9 +493,7 @@ impl CompileService {
         } else {
             Obs::disabled()
         };
-        let (key, entry) = self
-            .full
-            .lookup(&g, &machine, &sreq.request, &obs, || self.gate.acquire());
+        let (key, entry) = self.lookup(&g, &machine, &sreq.request, &obs);
         let reply = ServiceReply {
             outcome: Ok(entry.payload.clone()),
             trace: sreq.capture_trace.then(|| obs.chrome_trace()),
@@ -343,25 +508,24 @@ impl CompileService {
     /// survives.
     pub fn respond(&self, wire: &str) -> String {
         let raw = wire_key(wire);
-        if let Some(entry) = self.aliases.get(raw).and_then(|key| self.full.peek(key)) {
+        if let Some(entry) = self.aliases.get(raw).and_then(|key| self.memory.peek(key)) {
             return render_reply(Ok(&entry.payload), None);
         }
         let (reply, key) = match ServiceRequest::parse(wire) {
             Ok(sreq) => self.handle_keyed(&sreq),
             Err(e) => (ServiceReply::bad_request(e.0), None),
         };
-        self.aliases.record(raw, key, self.full.stats().entries);
+        self.aliases.record(raw, key, self.memory.stats().entries);
         reply.render()
-    }
-
-    /// In-memory artifact-tier counters.
-    pub fn stats(&self) -> clasp_exec::CacheStats {
-        self.full.stats()
     }
 
     /// Counters for every artifact tier.
     pub fn tiered_stats(&self) -> TieredStats {
-        self.full.tiered_stats()
+        TieredStats {
+            memory: self.memory.stats(),
+            disk: self.disk.as_ref().map(DiskTier::stats).unwrap_or_default(),
+            promotions: self.promotions.load(atomic::Ordering::Relaxed),
+        }
     }
 
     /// One-line counter rendering for the daemon's `stats` verb.
@@ -380,8 +544,9 @@ impl CompileService {
     }
 }
 
-/// The phase-2 memo key: kind discriminator, loop text, nameless
-/// machine text, config rendering — all streamed.
+/// The II memo key: kind discriminator (`ii` or `unified`, which keeps
+/// both kinds apart in one table), loop text, nameless machine text,
+/// config rendering — all streamed.
 fn phase2_key(
     kind: &str,
     g: &Ddg,
@@ -805,7 +970,7 @@ mod tests {
         let cold = service.handle(&sreq).render();
         let warm = service.handle(&sreq).render();
         assert_eq!(cold, warm, "hit and miss must render identically");
-        let stats = service.stats();
+        let stats = service.tiered_stats().memory;
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
@@ -855,7 +1020,7 @@ mod tests {
             .unwrap();
         assert!(exact.ii() <= heuristic.ii(), "exact II is a lower bound");
         // Distinct backends must occupy distinct cache entries.
-        assert_eq!(service.stats().misses, 2);
+        assert_eq!(service.tiered_stats().memory.misses, 2);
     }
 
     /// The wire of `LOOP` with `iterations` set (each count is its own
@@ -881,7 +1046,7 @@ mod tests {
             .aliases
             .get(raw)
             .expect("aliased after the full path");
-        assert!(service.full.peek(key).is_none(), "evicted at once");
+        assert!(service.memory.peek(key).is_none(), "evicted at once");
         for _ in 0..3 {
             assert_eq!(service.respond(&w), first);
             assert_eq!(service.aliases.get(raw), Some(key), "re-aliased");
@@ -1011,7 +1176,249 @@ mod tests {
         let u2 = service.unified_ii_of(&g, &m, SchedulerConfig::default());
         assert_eq!(u1, u2);
         assert!(u1.is_some());
-        // Full-artifact tier untouched by phase-2 queries.
-        assert_eq!(service.stats().misses, 0);
+        // One table keeps both kinds apart; the artifact tier is
+        // untouched by II queries.
+        let iis = service.iis.stats();
+        assert_eq!((iis.hits, iis.misses, iis.entries), (2, 2, 2));
+        assert_eq!(service.tiered_stats().memory.misses, 0);
+    }
+
+    fn small_loop(name: &str) -> Ddg {
+        let mut g = Ddg::new(name);
+        let a = g.add(clasp_ddg::OpKind::Load);
+        let b = g.add(clasp_ddg::OpKind::IntAlu);
+        g.add_dep(a, b);
+        g
+    }
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("clasp-service-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn at_dir(dir: &std::path::Path) -> CompileService {
+        CompileService::new(ServiceConfig {
+            cache_dir: Some(dir.to_path_buf()),
+            ..ServiceConfig::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn second_compile_is_a_hit_and_shares_the_artifact() {
+        let service = CompileService::in_memory();
+        let g = small_loop("memo");
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let obs = Obs::disabled();
+        let first = service.compile_artifact(&g, &m, &req, &obs);
+        let second = service.compile_artifact(&g, &m, &req, &obs);
+        assert!(Arc::ptr_eq(&first, &second), "hit must share the entry");
+        let stats = service.tiered_stats().memory;
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn memory_entries_keep_the_encoded_payload() {
+        let service = CompileService::in_memory();
+        let g = small_loop("payload");
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest {
+            iterations: 5,
+            ..CompileRequest::default()
+        };
+        let key = CompileService::key(&g, &m, &req);
+        assert!(service.memory.peek(key).is_none());
+        let (looked_up, entry) = service.lookup(&g, &m, &req, &Obs::disabled());
+        assert_eq!(looked_up, key);
+        assert_eq!(entry.payload, codec::encode(&entry.value, req.iterations));
+        let peeked = service.memory.peek(key).expect("resident");
+        assert!(Arc::ptr_eq(&peeked, &entry), "a peek shares the entry");
+        let stats = service.tiered_stats().memory;
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn key_ignores_machine_name_but_not_shape() {
+        let g = small_loop("k");
+        let req = CompileRequest::default();
+        let m = presets::two_cluster_gp(2, 1);
+        let renamed = MachineSpec::new(
+            "same-shape-other-name",
+            m.cluster_ids().map(|c| *m.cluster(c)).collect(),
+            m.interconnect().clone(),
+        );
+        let key = |m: &MachineSpec| CompileService::key(&g, m, &req);
+        assert_eq!(key(&m), key(&renamed));
+        assert_ne!(key(&m), key(&presets::four_cluster_gp(4, 2)));
+    }
+
+    #[test]
+    fn key_separates_loops_and_requests() {
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let (a, b) = (small_loop("a"), small_loop("b"));
+        assert_ne!(
+            CompileService::key(&a, &m, &req),
+            CompileService::key(&b, &m, &req)
+        );
+        let other_req = CompileRequest {
+            restage: false,
+            ..CompileRequest::default()
+        };
+        assert_ne!(
+            CompileService::key(&a, &m, &req),
+            CompileService::key(&a, &m, &other_req)
+        );
+    }
+
+    #[test]
+    fn unified_equivalent_hits_an_identically_shaped_preset() {
+        // The content-addressed promise: 2c-gp's unified equivalent (8
+        // GP units, no interconnect) is the same machine as the
+        // `unified` preset, whatever either is called.
+        let g = small_loop("u");
+        let req = CompileRequest::default();
+        let equiv = presets::two_cluster_gp(2, 1).unified_equivalent();
+        let preset = presets::unified_gp(8);
+        assert_eq!(
+            CompileService::key(&g, &equiv, &req),
+            CompileService::key(&g, &preset, &req)
+        );
+        let service = CompileService::in_memory();
+        service.compile_artifact(&g, &preset, &req, &Obs::disabled());
+        service.compile_artifact(&g, &equiv, &req, &Obs::disabled());
+        let stats = service.tiered_stats().memory;
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn failures_are_memoized_too() {
+        // A float op on an integer-only machine fails; the second
+        // request must not re-run the pipeline.
+        let mut g = Ddg::new("fp");
+        g.add(clasp_ddg::OpKind::FpAdd);
+        let m = MachineSpec::new(
+            "int-only",
+            vec![clasp_machine::ClusterSpec::specialized(1, 2, 0)],
+            clasp_machine::Interconnect::None,
+        );
+        let service = CompileService::in_memory();
+        let req = CompileRequest::default();
+        let obs = Obs::disabled();
+        assert!(service.compile_artifact(&g, &m, &req, &obs).is_err());
+        assert!(service.compile_artifact(&g, &m, &req, &obs).is_err());
+        let stats = service.tiered_stats().memory;
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn streamed_key_matches_eager_texts() {
+        // The streaming KeyBuilder must key on exactly the canonical
+        // texts the eager path would produce.
+        let g = small_loop("stream");
+        let m = presets::four_cluster_gp(4, 2);
+        let req = CompileRequest::default();
+        let mut kb = KeyBuilder::new();
+        kb.text(&clasp_text::write_loop(&g));
+        let mut machine_text = String::new();
+        clasp_text::write_machine_named_into(&m, "#", &mut machine_text).unwrap();
+        kb.text(&machine_text);
+        kb.text(&format!("{req:?}"));
+        assert_eq!(CompileService::key(&g, &m, &req), kb.finish());
+    }
+
+    #[test]
+    fn disk_tier_serves_a_second_cache_instance() {
+        // Two services sharing one directory model a process restart:
+        // the second is served by promotion, not recompute, and the
+        // served artifact is bit-identical to the computed one.
+        let dir = tmpdir("restart");
+        let g = small_loop("persist");
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let obs = Obs::disabled();
+
+        let cold = at_dir(&dir);
+        let first = cold.compile_artifact(&g, &m, &req, &obs);
+        assert_eq!(cold.tiered_stats().disk.misses, 1);
+
+        let warm = at_dir(&dir);
+        let second = warm.compile_artifact(&g, &m, &req, &obs);
+        let stats = warm.tiered_stats();
+        assert_eq!((stats.disk.hits, stats.promotions), (1, 1));
+        assert_eq!(stats.memory.misses, 1, "memory tier still misses once");
+        assert_eq!(
+            codec::encode(&first, req.iterations),
+            codec::encode(&second, req.iterations),
+            "promoted artifact must round-trip bit-identically"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_promotion_re_encodes_and_a_peek_never_reads_disk() {
+        let dir = tmpdir("reencode");
+        let g = small_loop("reencode");
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let key = CompileService::key(&g, &m, &req);
+        let canonical = codec::encode(&crate::compile_full(&g, &m, &req), req.iterations);
+        // Decodable but not canonical: the entry must carry `encode`'s
+        // rendering, not the stored bytes.
+        let stored = canonical.replace('\n', "\r\n");
+        DiskTier::open(&dir, codec::ARTIFACT_FORMAT)
+            .unwrap()
+            .store(key, &stored);
+
+        let service = at_dir(&dir);
+        assert!(service.memory.peek(key).is_none());
+        assert_eq!(
+            service.tiered_stats().disk,
+            Default::default(),
+            "a peek never reads the disk tier"
+        );
+        let obs = Obs::enabled();
+        let (_, entry) = service.lookup(&g, &m, &req, &obs);
+        assert_eq!(entry.payload, canonical);
+        assert_ne!(entry.payload, stored);
+        let peeked = service.memory.peek(key).expect("promoted into memory");
+        assert!(Arc::ptr_eq(&peeked, &entry));
+        let t = service.tiered_stats();
+        assert_eq!((t.memory.hits, t.memory.misses), (1, 1));
+        assert_eq!((t.disk.hits, t.promotions), (1, 1));
+        assert_eq!(obs.counter(Counter::CachePromotions), 1);
+        assert_eq!(obs.counter(Counter::CacheDiskHits), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_undecodable_disk_payload_is_recomputed_with_one_disk_error() {
+        let dir = tmpdir("undecodable");
+        let g = small_loop("undecodable");
+        let m = presets::two_cluster_gp(2, 1);
+        let req = CompileRequest::default();
+        let key = CompileService::key(&g, &m, &req);
+        // A well-formed shard file whose payload the codec rejects: the
+        // tier's load succeeds, so the error is the codec's.
+        let disk = DiskTier::open(&dir, codec::ARTIFACT_FORMAT).unwrap();
+        disk.store(key, "not an artifact");
+
+        let service = at_dir(&dir);
+        let obs = Obs::enabled();
+        let result = service.compile_artifact(&g, &m, &req, &obs);
+        assert_eq!(obs.counter(Counter::CacheDiskErrors), 1);
+        assert_eq!(obs.counter(Counter::CacheMisses), 1);
+        assert_eq!(obs.counter(Counter::CachePromotions), 0);
+        let t = service.tiered_stats();
+        assert_eq!((t.disk.hits, t.disk.errors, t.disk.stores), (1, 0, 1));
+        assert_eq!(t.promotions, 0);
+        // The recompute stored a good payload over the bad one.
+        assert_eq!(
+            disk.load(key),
+            TierLoad::Hit(codec::encode(&result, req.iterations))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,14 +1,15 @@
-//! Pins the streaming cache-key claim from `src/cached.rs`: a warm
-//! compile-cache lookup — key three canonical texts straight into the
-//! hasher, hit the memory tier, clone the `Arc` — touches the allocator
-//! zero times. It also pins the wire hit path from `src/service.rs`: a
-//! warm, aliased `CompileService::respond` allocates once, for the
-//! reply it returns.
+//! Pins two claims from `src/service.rs`. The streaming cache key: a
+//! warm `CompileService::compile_artifact` with a disabled sink — key
+//! three canonical texts straight into the hasher, hit the memory tier,
+//! clone the `Arc` — touches the allocator zero times. The wire hit
+//! path: a warm, aliased `CompileService::respond` allocates once, for
+//! the reply it returns.
 //!
 //! A counting global allocator wraps the system one; this file contains
 //! a single test so no concurrent test can perturb the counter.
 
-use clasp::{CompileCache, CompileRequest, CompileService, ServiceRequest};
+use clasp::obs::Obs;
+use clasp::{CompileRequest, CompileService, ServiceRequest};
 use clasp_ddg::{Ddg, OpKind};
 use clasp_machine::presets;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,15 +56,16 @@ fn warm_cache_lookups_do_not_allocate() {
     let machine = presets::four_cluster_gp(4, 2);
     let req = CompileRequest::default();
 
-    let cache = CompileCache::new();
+    let cache = CompileService::in_memory();
+    let obs = Obs::disabled();
     // Warm: the first call computes and installs, the second exercises
     // the hit path once so any lazy one-time setup has happened.
-    assert!(cache.compile(&g, &machine, &req).is_ok());
-    assert!(cache.compile(&g, &machine, &req).is_ok());
+    assert!(cache.compile_artifact(&g, &machine, &req, &obs).is_ok());
+    assert!(cache.compile_artifact(&g, &machine, &req, &obs).is_ok());
 
     let before = allocs();
     for _ in 0..100 {
-        let hit = cache.compile(&g, &machine, &req);
+        let hit = cache.compile_artifact(&g, &machine, &req, &obs);
         std::hint::black_box(&hit);
     }
     assert_eq!(
@@ -72,7 +74,7 @@ fn warm_cache_lookups_do_not_allocate() {
         "warm lookups must stream the key and share the Arc"
     );
 
-    let stats = cache.stats();
+    let stats = cache.tiered_stats().memory;
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.hits, 101);
 

@@ -5,7 +5,7 @@
 //! as an honest miss, and two concurrently open services share one
 //! directory through atomic write-then-rename.
 
-use clasp::{CompileService, ServiceConfig, ServiceRequest};
+use clasp::{CompileRequest, CompileService, ServiceConfig, ServiceRequest};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -149,5 +149,21 @@ fn two_open_services_share_one_directory() {
     assert_eq!(a.handle(&second).render(), from_b);
     assert_eq!(a.tiered_stats().disk.hits, 1);
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_canonical_key_and_its_shard_path_are_pinned() {
+    // The key names every persisted entry's file, so a silent change to
+    // its derivation would orphan every existing cache directory.
+    const KEY: &str = "a3f836d59e127371fd331634dc42e437";
+    let g = clasp_text::parse_loop(LOOP).unwrap();
+    let machine = clasp_machine::presets::two_cluster_gp(2, 1);
+    let key = CompileService::key(&g, &machine, &CompileRequest::default());
+    assert_eq!(key.to_string(), KEY);
+
+    let dir = tmpdir("pinned");
+    service_at(&dir).handle(&ServiceRequest::new(LOOP, machine_text()));
+    assert_eq!(shard_files(&dir), [dir.join(&KEY[..2]).join(KEY)]);
     let _ = fs::remove_dir_all(&dir);
 }
