@@ -4,7 +4,9 @@
 //! The manifest holds one line per loop of the 150-loop bench corpus
 //! (`generate_corpus` at seed `0x1998_C1A5` on `four_cluster_gp(4, 2)`),
 //! plus the paper's Figure 6 graph and a 16-wide independent graph on
-//! the same machine, plus Figure 6 on a 2-wide unified machine. Each
+//! the same machine, plus Figure 6 on a 2-wide unified machine, then the
+//! same corpus again on the point-to-point `pe-grid2x3` and `mesh3x3`
+//! fabrics, whose copies are routed hop by hop. Each
 //! line records the unified II and a digest of its start cycles, the
 //! `compare_with_unified` clustered II, the `assign_from(.., 1)` II, copy
 //! count and cluster-map digest, and a digest of the `compile_full`
@@ -152,13 +154,19 @@ fn render_manifest() -> String {
     let mut out = String::from(
         "# Golden outputs of the Figure 5 pipeline (rendered by tests/golden.rs).\n\
          # bench corpus: generate_corpus(150 loops, seed 0x1998C1A5) on four_cluster_gp(4, 2);\n\
-         # then fig6 and wide on the same machine, and fig6 on unified_gp(2).\n\
+         # then fig6 and wide on the same machine, and fig6 on unified_gp(2);\n\
+         # then the bench corpus on the point-to-point pe-grid2x3 and mesh3x3.\n\
          # fields: machine loop unified unified_sched clustered assign_ii copies map artifact\n",
     );
     for g in bench_corpus().iter().chain([&fig6(), &wide()]) {
         out.push_str(&render_line(&machine, g));
     }
     out.push_str(&render_line(&presets::unified_gp(2), &fig6()));
+    for machine in [presets::pe_grid(2, 3), presets::mesh(3, 3)] {
+        for g in &bench_corpus() {
+            out.push_str(&render_line(&machine, g));
+        }
+    }
     out
 }
 
