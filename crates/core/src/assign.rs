@@ -17,7 +17,7 @@ use crate::config::AssignConfig;
 use crate::result::{materialize_into, AssignStats, Assignment};
 use crate::state::{edge_needs_copy, AssignState};
 use crate::trace::{AssignTrace, Sink, TraceEvent};
-use clasp_ddg::{find_sccs, swing_order_with, Ddg, LoopAnalysis, NodeId, SccInfo};
+use clasp_ddg::{find_sccs, max_ii_bound, swing_order_with, Ddg, LoopAnalysis, NodeId, SccInfo};
 use clasp_machine::{ClusterId, MachineSpec};
 use clasp_mrt::ClusterMap;
 use std::fmt;
@@ -482,7 +482,7 @@ impl<'g> Assigner<'g> {
         let max_ii = self
             .config
             .max_ii
-            .unwrap_or_else(|| clasp_sched_max_ii_bound(self.g, mii));
+            .unwrap_or_else(|| max_ii_bound(self.g, mii));
 
         let mut stats = AssignStats::default();
         let mut last = None;
@@ -518,24 +518,6 @@ impl<'g> Assigner<'g> {
         }
         Err(AssignError::IiExhausted { max_ii, last })
     }
-}
-
-/// II cap from the sequential-schedule argument (mirrors
-/// `clasp_sched::max_ii_bound`, duplicated here to keep the crate graph
-/// acyclic: `clasp-core` must not depend on `clasp-sched`). Keep the two
-/// in sync.
-fn clasp_sched_max_ii_bound(g: &Ddg, mii: u32) -> u32 {
-    let seq: u32 = g
-        .node_ids()
-        .map(|v| {
-            g.succ_edges(v)
-                .map(|(_, e)| e.latency)
-                .max()
-                .unwrap_or(0)
-                .max(1)
-        })
-        .sum();
-    mii.saturating_add(seq).max(mii.saturating_add(1))
 }
 
 /// One assignment attempt at a fixed II over a pre-reset working state

@@ -44,7 +44,7 @@ mod scc;
 
 pub use analysis::{AdjEdge, LoopAnalysis};
 pub use graph::{Ddg, DepEdge, EdgeId, GraphError, NodeId, Operation};
-pub use mii::{rec_mii, rec_mii_bruteforce, rec_mii_with, scc_rec_mii};
+pub use mii::{max_ii_bound, rec_mii, rec_mii_bruteforce, rec_mii_with, scc_rec_mii};
 pub use op::{FuClass, OpKind};
 pub use order::{
     bottom_up_order, depth_height, priority_sets, swing_order, swing_order_flat, swing_order_with,

@@ -3,7 +3,8 @@
 //! `RecMII` is the recurrence-constrained lower bound on II: the maximum
 //! over all dependence cycles of `ceil(sum(latency) / sum(distance))`.
 //! (The resource bound `ResMII` depends on a machine description and lives
-//! in `clasp-machine`.)
+//! in `clasp-machine`.) [`max_ii_bound`] caps the II search from above;
+//! the assigner and the schedulers share it.
 
 use crate::graph::{Ddg, NodeId};
 use crate::scc::{find_sccs, SccInfo};
@@ -165,6 +166,29 @@ pub fn rec_mii_bruteforce(g: &Ddg) -> u32 {
         }
     }
     best
+}
+
+/// An upper bound on the II search, from the sequential-schedule argument:
+/// issuing the nodes one after another, each `max(1, max outgoing
+/// latency)` cycles after the previous one, satisfies every dependence
+/// (including loop-carried ones) once II reaches that total length, and
+/// uses each resource instance at most once per row. So `MII + Σ_v max(1,
+/// max outgoing latency of v)` always admits a schedule.
+///
+/// (The seed used `MII + Σ all edge latencies + node count`, which this
+/// bound never exceeds; a tighter cap means exhaustion fails faster.)
+pub fn max_ii_bound(g: &Ddg, mii: u32) -> u32 {
+    let seq: u32 = g
+        .node_ids()
+        .map(|v| {
+            g.succ_edges(v)
+                .map(|(_, e)| e.latency)
+                .max()
+                .unwrap_or(0)
+                .max(1)
+        })
+        .sum();
+    mii.saturating_add(seq).max(mii.saturating_add(1))
 }
 
 #[cfg(test)]

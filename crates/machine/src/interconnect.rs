@@ -261,50 +261,21 @@ impl Interconnect {
                 }
             }
             Interconnect::PointToPoint { .. } => {
-                let cluster_count = adj.cluster_count();
                 for c in [from, to] {
-                    if c.index() >= cluster_count {
+                    if c.index() >= adj.cluster_count() {
                         return Err(RouteError::OutOfRange { cluster: c });
                     }
                 }
-                // Phase 1: hop distances *to the destination* via plain
-                // BFS from `to`. Distances are a pure function of the
-                // topology, so no ordering sensitivity can enter here.
-                let mut dist: Vec<u32> = vec![u32::MAX; cluster_count];
-                let mut queue = std::collections::VecDeque::new();
-                dist[to.index()] = 0;
-                queue.push_back(to);
-                while let Some(c) = queue.pop_front() {
-                    if c == from {
-                        break;
-                    }
-                    for &(nb, _) in adj.neighbors(c) {
-                        if dist[nb.index()] == u32::MAX {
-                            dist[nb.index()] = dist[c.index()] + 1;
-                            queue.push_back(nb);
-                        }
-                    }
-                }
+                let dist = adj.distances_to(to);
                 if dist[from.index()] == u32::MAX {
                     return Err(RouteError::Unreachable { from, to });
                 }
-                // Phase 2: walk forward, at every hop taking the
-                // lowest-numbered link that moves one hop closer —
-                // the (hop count, lowest link id) tie-break.
                 let mut path = Vec::with_capacity(dist[from.index()] as usize + 1);
                 let mut cur = from;
                 path.push(cur);
                 while cur != to {
-                    let d = dist[cur.index()];
-                    let (next, _) = adj
-                        .neighbors(cur)
-                        .iter()
-                        .filter(|&&(nb, _)| dist[nb.index()] == d - 1)
-                        .map(|&(nb, l)| (nb, l))
-                        .min_by_key(|&(nb, l)| (l, nb))
-                        .expect("a cluster on a shortest path has a closer neighbour");
-                    path.push(next);
-                    cur = next;
+                    cur = adj.next_hop(&dist, cur).0;
+                    path.push(cur);
                 }
                 Ok(path)
             }
@@ -371,6 +342,53 @@ impl Adjacency {
             return &[];
         }
         &self.entries[self.offsets[c.index()]..self.offsets[c.index() + 1]]
+    }
+
+    /// Hop distance from every cluster to `to` (`u32::MAX` where `to` is
+    /// unreachable), by plain BFS from `to`. Distances are a pure function
+    /// of the topology, so no ordering sensitivity can enter here. With
+    /// [`Adjacency::next_hop`] this is the fabric's one routing rule:
+    /// [`Interconnect::route_with`] uses it per query, and callers routing
+    /// many values to the same cluster keep the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` lies outside the index.
+    pub fn distances_to(&self, to: ClusterId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.cluster_count()];
+        let mut queue = Vec::with_capacity(self.cluster_count());
+        dist[to.index()] = 0;
+        queue.push(to);
+        let mut head = 0;
+        while let Some(&c) = queue.get(head) {
+            head += 1;
+            for &(nb, _) in self.neighbors(c) {
+                if dist[nb.index()] == u32::MAX {
+                    dist[nb.index()] = dist[c.index()] + 1;
+                    queue.push(nb);
+                }
+            }
+        }
+        dist
+    }
+
+    /// One step of the (hop count, lowest link id) route from `cur` toward
+    /// the cluster whose [`Adjacency::distances_to`] row is `dist`: the
+    /// lowest-numbered link that moves one hop closer, and the cluster it
+    /// reaches. Allocation-free, so a kept row routes without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cur` is the destination or cannot reach it.
+    pub fn next_hop(&self, dist: &[u32], cur: ClusterId) -> (ClusterId, LinkId) {
+        let d = dist[cur.index()];
+        assert!(d != 0 && d != u32::MAX, "{cur} has no next hop");
+        self.neighbors(cur)
+            .iter()
+            .copied()
+            .filter(|&(nb, _)| dist[nb.index()] == d - 1)
+            .min_by_key(|&(nb, l)| (l, nb))
+            .expect("a cluster on a shortest path has a closer neighbour")
     }
 
     /// The lowest-indexed link joining `from` and `to`, scanning only

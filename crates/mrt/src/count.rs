@@ -83,15 +83,15 @@ struct ClusterCounts {
 #[derive(Debug, Clone)]
 pub struct CountMrt<'m> {
     ii: u32,
-    /// Borrowed, not owned: the assigner clones this table on every
-    /// tentative placement, and a deep `MachineSpec` copy per tentative
-    /// dominated the assignment profile.
+    /// Borrowed, not owned: an assignment workspace keeps one table and
+    /// resets it per II, so it needs no copy of the machine.
     machine: &'m MachineSpec,
     clusters: Vec<ClusterCounts>,
     bus_used: u32,
     link_used: Vec<u32>,
     /// Dense, indexed by node id (original nodes and copy ids alike), so
-    /// the per-tentative clone is a flat copy rather than a hash rebuild.
+    /// reserving, releasing and undoing are flat index writes rather than
+    /// hash-map probes.
     reservations: Vec<Option<Reservation>>,
     reserved: usize,
     /// Undo log of every mutation since the last [`CountMrt::commit`];

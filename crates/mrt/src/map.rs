@@ -36,9 +36,9 @@ pub struct CopyMeta {
 /// assert_eq!(map.cluster_of(NodeId(0)), Some(ClusterId(1)));
 /// assert_eq!(map.cluster_of(NodeId(9)), None);
 /// ```
-/// Dense storage: both tables are indexed by `NodeId` so that cloning —
-/// which the assigner does on every tentative placement — is a flat
-/// buffer copy instead of a tree walk. Iteration stays in ascending node
+/// Dense storage: both tables are indexed by `NodeId`, so the assigner's
+/// journaled assign/unassign steps and lookups are flat index operations
+/// and clearing keeps the buffers. Iteration stays in ascending node
 /// order, matching the previous `BTreeMap` representation exactly.
 #[derive(Debug, Clone, Default, Eq)]
 pub struct ClusterMap {

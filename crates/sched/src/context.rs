@@ -346,7 +346,8 @@ impl<'a> SchedContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iterative::{iterative_schedule, max_ii_bound};
+    use crate::iterative::iterative_schedule;
+    use crate::max_ii_bound;
     use crate::schedule::{unified_map, validate_schedule};
     use clasp_ddg::OpKind;
     use clasp_machine::presets;

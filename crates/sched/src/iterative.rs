@@ -14,7 +14,7 @@
 use crate::context::SchedContext;
 use crate::failure::SchedFailure;
 use crate::schedule::{unified_map, Schedule};
-use clasp_ddg::Ddg;
+use clasp_ddg::{max_ii_bound, Ddg};
 use clasp_machine::MachineSpec;
 use clasp_mrt::ClusterMap;
 
@@ -121,29 +121,6 @@ pub fn schedule_unified(
     }
     let max_ii = max_ii_bound(g, mii);
     schedule_in_range(g, machine, &map, mii, max_ii, config)
-}
-
-/// An upper bound on the II search, from the sequential-schedule argument:
-/// issuing the nodes one after another, each `max(1, max outgoing
-/// latency)` cycles after the previous one, satisfies every dependence
-/// (including loop-carried ones) once II reaches that total length, and
-/// uses each resource instance at most once per row. So `MII + Σ_v max(1,
-/// max outgoing latency of v)` always admits a schedule.
-///
-/// (The seed used `MII + Σ all edge latencies + node count`, which this
-/// bound never exceeds; a tighter cap means exhaustion fails faster.)
-pub fn max_ii_bound(g: &Ddg, mii: u32) -> u32 {
-    let seq: u32 = g
-        .node_ids()
-        .map(|v| {
-            g.succ_edges(v)
-                .map(|(_, e)| e.latency)
-                .max()
-                .unwrap_or(0)
-                .max(1)
-        })
-        .sum();
-    mii.saturating_add(seq).max(mii.saturating_add(1))
 }
 
 #[cfg(test)]
